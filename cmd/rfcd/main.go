@@ -1,13 +1,13 @@
 // Command rfcd is the topology-query daemon: an HTTP/JSON service answering
 // topology, routing, expandability and fault queries over deterministic
 // RFC / fat-tree / random-regular builds, with a content-addressed build
-// cache and precomputed up/down route indexes (see internal/service and
-// DESIGN.md, "Serving layer").
+// cache; path queries read the turn level straight from each build's
+// up/down cover sets (see internal/service and DESIGN.md, "Serving layer").
 //
 // Endpoints:
 //
 //	GET  /healthz                       liveness
-//	GET  /metrics                       atomic counters (requests, cache, latency)
+//	GET  /metrics                       counters (requests, cache, builds, errors) + byte gauges
 //	POST /v1/topology                   build (or fetch cached) + summary stats
 //	GET  /v1/topology/{key}/export      adjacency JSON / Graphviz DOT / edge list
 //	GET  /v1/path?key=&src=&dst=&seed=  one shortest up/down path
@@ -18,14 +18,13 @@
 //
 // Usage:
 //
-//	rfcd -addr :8080 -cache 64 -cache-bytes 0 -dense-index-bytes 0
+//	rfcd -addr :8080 -cache 64 -cache-bytes 0
 //	rfcd -selfcheck        # in-process endpoint smoke test, used by CI
 //
-// Route indexes are tiered: topologies whose dense N1² turn table fits
-// -dense-index-bytes (default 64 MiB) get the O(1) dense table; larger ones
-// get the succinct exception-coded index, so there is no hard leaf-count cap.
-// -cache-bytes bounds the cache by estimated topology memory on top of the
-// -cache entry count; exports stream with chunked transfer encoding.
+// A build holds no per-leaf-pair state, so there is no leaf-count cap
+// beyond the switch limit. -cache-bytes bounds the cache by estimated
+// topology memory on top of the -cache entry count; exports stream with
+// chunked transfer encoding.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
@@ -51,7 +50,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheSize  = flag.Int("cache", 64, "topology cache capacity (LRU entries)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "cache byte budget over estimated topology memory (0 = 8 GiB default, negative = unlimited)")
-		denseIndex = flag.Int("dense-index-bytes", 0, "largest dense route-index table in bytes before switching to the succinct tier (0 = 64 MiB default, negative = always dense)")
 		selfcheck  = flag.Bool("selfcheck", false, "run the endpoint smoke test against an in-process server and exit")
 	)
 	flag.Parse()
@@ -66,9 +64,8 @@ func main() {
 	}
 
 	opts := service.Options{
-		CacheSize:       *cacheSize,
-		CacheBytes:      *cacheBytes,
-		DenseIndexBytes: *denseIndex,
+		CacheSize:  *cacheSize,
+		CacheBytes: *cacheBytes,
 	}
 	if err := run(*addr, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "rfcd:", err)

@@ -163,7 +163,7 @@ func run(topo string, radix, levels, leaves, q int, pattern string, load float64
 // stream. Warm-up and cycle counts do not apply.
 func runFlow(c *rfclos.Clos, router *rfclos.Router, pattern string, load float64,
 	reps, workers int, seed uint64) error {
-	net := flow.NewClos(c, router, nil)
+	net := flow.NewClosNetwork(router)
 	fmt.Printf("# %v\n# backend=flow pattern=%s load=%.3f reps=%d\n", c, pattern, load, reps)
 	var acc, min, jain metrics.Summary
 	for rep := 0; rep < reps; rep++ {

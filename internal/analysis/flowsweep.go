@@ -156,7 +156,7 @@ func FlowScenarioSweep(sc Scenario, opts FlowOptions) (*Report, error) {
 	}
 	fnets := make([]flowNet, len(nets))
 	for i, n := range nets {
-		fnets[i] = flowNet{name: n.name, net: flow.NewClos(n.c, n.ud, nil), terms: n.c.Terminals()}
+		fnets[i] = flowNet{name: n.name, net: flow.NewClosNetwork(n.ud), terms: n.c.Terminals()}
 	}
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),
@@ -228,9 +228,9 @@ func FlowScale(scale Scale, opts FlowOptions) (*Report, error) {
 	}
 	nets := []flowNet{
 		{fmt.Sprintf("XGFT-%dL-R%d", spec.xgft.Levels, spec.xgft.Radix),
-			flow.NewClos(xgft, routing.New(xgft), nil), xgft.Terminals()},
+			flow.NewClosNetwork(routing.New(xgft)), xgft.Terminals()},
 		{fmt.Sprintf("RFC-%dL-R%d", spec.rfc.Levels, spec.rfc.Radix),
-			flow.NewClos(rfc, rud, nil), rfc.Terminals()},
+			flow.NewClosNetwork(rud), rfc.Terminals()},
 		{fmt.Sprintf("RRN-R%d", spec.rrnDeg+spec.rrnTps), rrnNet, rrn.Terminals()},
 	}
 	notes := []string{

@@ -20,7 +20,7 @@ func BenchmarkFlowSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net := flow.NewClos(c, routing.New(c), nil)
+	net := flow.NewClosNetwork(routing.New(c))
 	m := traffic.UniformMatrix(net.Terminals(), 1, rng.At(1, rng.StringCoord("bench/flow")))
 
 	b.ResetTimer()

@@ -7,18 +7,16 @@ import (
 )
 
 // ClosNetwork routes matrix flows over a folded Clos along random shortest
-// up/down paths, reusing the routing layer's compressed LeafSet covers
-// (per-hop NextUpPort/NextDownPort) and, when available, a precomputed
-// TurnIndex for the minimal turn level.
+// up/down paths, reusing the routing layer's compressed LeafSet covers for
+// the minimal turn level (MinTurn) and every hop (NextUpPort/NextDownPort).
 //
 // Directed link ids: [0, T) terminal injection, [T, 2T) terminal ejection,
 // then one id per (switch, up-port) in switch-id order, then one per
 // (switch, down-port) — the two directions of every wire are independent
 // capacity, as in the cycle engine's channel model.
 type ClosNetwork struct {
-	c   *topology.Clos
-	ud  *routing.UpDown
-	idx routing.TurnIndex // optional; nil falls back to ud.MinTurn
+	c  *topology.Clos
+	ud *routing.UpDown
 	// upStart/downStart are per-switch prefix sums of up-/down-degree,
 	// frozen at construction (the topology must not mutate afterwards).
 	upStart, downStart []int32
@@ -26,12 +24,11 @@ type ClosNetwork struct {
 	links              int
 }
 
-// NewClos builds the adapter. idx may be nil; passing the build's
-// TurnIndex (as rfcd's cached topologies do) skips the per-flow cover-set
-// scan for the turn level.
-func NewClos(c *topology.Clos, ud *routing.UpDown, idx routing.TurnIndex) *ClosNetwork {
+// NewClosNetwork builds the adapter over the topology ud routes on.
+func NewClosNetwork(ud *routing.UpDown) *ClosNetwork {
+	c := ud.Clos()
 	n := c.NumSwitches()
-	net := &ClosNetwork{c: c, ud: ud, idx: idx,
+	net := &ClosNetwork{c: c, ud: ud,
 		upStart: make([]int32, n+1), downStart: make([]int32, n+1)}
 	for s := 0; s < n; s++ {
 		net.upStart[s+1] = net.upStart[s] + int32(len(c.Up(int32(s))))
@@ -44,19 +41,19 @@ func NewClos(c *topology.Clos, ud *routing.UpDown, idx routing.TurnIndex) *ClosN
 	return net
 }
 
+// NewClos is NewClosNetwork(ud); c must be ud's topology and the third
+// argument is ignored.
+//
+// Deprecated: perfbench is its only caller; use NewClosNetwork.
+func NewClos(_ *topology.Clos, ud *routing.UpDown, _ routing.TurnIndex) *ClosNetwork {
+	return NewClosNetwork(ud)
+}
+
 // Terminals implements Network.
 func (n *ClosNetwork) Terminals() int { return n.c.Terminals() }
 
 // NumLinks implements Network.
 func (n *ClosNetwork) NumLinks() int { return n.links }
-
-// minTurn resolves the minimal turn level through the index when present.
-func (n *ClosNetwork) minTurn(src, dst int) int {
-	if n.idx != nil {
-		return n.idx.MinTurn(src, dst)
-	}
-	return n.ud.MinTurn(src, dst)
-}
 
 // Resolve implements Network: injection link, a random shortest up/down
 // path (uniform per hop among minimal next hops, like the cycle engine's
@@ -70,7 +67,7 @@ func (n *ClosNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32
 	sl, dl := n.c.LeafOfTerminal(int(src)), n.c.LeafOfTerminal(int(dst))
 	if sl != dl {
 		dli := int(dl) // leaf switch ids coincide with leaf indices
-		turn := n.minTurn(int(sl), dli)
+		turn := n.ud.MinTurn(int(sl), dli)
 		if turn < 0 {
 			return nil, false
 		}

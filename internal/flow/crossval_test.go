@@ -27,7 +27,7 @@ func solveFlowCase(i int, fc goldencases.FlowCase, workers int) (*flow.Result, e
 		if err != nil {
 			return nil, err
 		}
-		net = flow.NewClos(c, routing.New(c), nil)
+		net = flow.NewClosNetwork(routing.New(c))
 	default:
 		r, err := fc.BuildRRN()
 		if err != nil {
@@ -121,7 +121,7 @@ func TestSimcoreOrderingAgreement(t *testing.T) {
 		ud := routing.New(c)
 		cfg := simnet.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 7}
 		simRes := simnet.New(c, ud, traffic.NewUniform(c.Terminals()), cfg).Run(1.0)
-		f, err := flowUniform(flow.NewClos(c, ud, nil))
+		f, err := flowUniform(flow.NewClosNetwork(ud))
 		if err != nil {
 			t.Fatal(err)
 		}

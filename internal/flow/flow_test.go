@@ -93,7 +93,7 @@ func TestIncastConvergesToFairShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewClos(c, routing.New(c), nil)
+	net := NewClosNetwork(routing.New(c))
 	// All 7 other terminals blast terminal 0: the ejection link forces 1/7.
 	var m []traffic.Demand
 	for s := int32(1); s < 8; s++ {
@@ -118,7 +118,7 @@ func TestLowLoadMeetsDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewClos(c, routing.New(c), nil)
+	net := NewClosNetwork(routing.New(c))
 	m := traffic.ScaleMatrix(traffic.UniformMatrix(c.Terminals(), 4, rng.New(5)), 0.2)
 	res, err := Solve(net, m, Options{Seed: 9, Workers: 1})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewClos(c, routing.New(c), nil)
+	net := NewClosNetwork(routing.New(c))
 	m, err := traffic.NewMatrix("storm", c.Terminals(), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
 	nets = append(nets, struct {
 		name string
 		n    Network
-	}{"cft8x3", NewClos(cft, routing.New(cft), nil)})
+	}{"cft8x3", NewClosNetwork(routing.New(cft))})
 	rc, _, _, err := core.GenerateRoutable(core.Params{Radix: 8, Levels: 3, Leaves: 16}, 20, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestMaxMinPropertyAcrossNetworksAndMatrices(t *testing.T) {
 	nets = append(nets, struct {
 		name string
 		n    Network
-	}{"rfc8x3x16", NewClos(rc, routing.New(rc), nil)})
+	}{"rfc8x3x16", NewClosNetwork(routing.New(rc))})
 	rrn, err := topology.NewRRN(32, 4, 2, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestClosResolveLinkModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewClos(c, routing.New(c), nil)
+	net := NewClosNetwork(routing.New(c))
 	tcount := int32(c.Terminals())
 	r := rng.New(1)
 	p, ok := net.Resolve(0, tcount-1, r, nil)
@@ -300,29 +300,5 @@ func TestClosResolveLinkModel(t *testing.T) {
 	p, ok = net.Resolve(0, 1, r, nil)
 	if !ok || len(p) != 2 {
 		t.Fatalf("same-leaf pair should use only terminal links, got %v", p)
-	}
-}
-
-func TestTurnIndexMatchesCoverResolution(t *testing.T) {
-	c, err := topology.NewCFT(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ud := routing.New(c)
-	plain := NewClos(c, ud, nil)
-	indexed := NewClos(c, ud, routing.NewTurnIndex(ud, 0))
-	m := traffic.ScaleMatrix(traffic.UniformMatrix(c.Terminals(), 2, rng.New(8)), 1)
-	a, err := Solve(plain, m, Options{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Solve(indexed, m, Options{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rates {
-		if a.Rates[i] != b.Rates[i] {
-			t.Fatalf("turn-index path resolution diverged at flow %d", i)
-		}
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"rfclos/internal/topology"
 )
 
-// benchUpDown builds the 4096-leaf XGFT both index tiers are benchmarked
-// on (the same shape TestSuccinctSizeBytes measures).
+// benchUpDown builds the 4096-leaf XGFT the cover build is benchmarked on.
 func benchUpDown(b *testing.B) *UpDown {
 	b.Helper()
 	c, err := topology.NewXGFT([]int{4, 64, 64}, []int{1, 4, 2}, 72)
@@ -36,56 +35,4 @@ func BenchmarkCoverBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(u.CoverBytes()), "cover-bytes")
 	b.ReportMetric(float64(sets*words*8), "plain-bytes")
-}
-
-// BenchmarkTurnIndexBuild measures index construction for both tiers and
-// reports the encoding density as bytes per ordered leaf pair (the dense
-// tier is 1.0 by definition).
-func BenchmarkTurnIndexBuild(b *testing.B) {
-	u := benchUpDown(b)
-	n := float64(u.n1) * float64(u.n1)
-	b.Run("dense", func(b *testing.B) {
-		var ix TurnIndex
-		for i := 0; i < b.N; i++ {
-			ix = NewMinTurnIndex(u)
-		}
-		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
-	})
-	b.Run("succinct", func(b *testing.B) {
-		var ix TurnIndex
-		for i := 0; i < b.N; i++ {
-			ix = NewSuccinctTurnIndex(u, 0)
-		}
-		b.ReportMetric(float64(ix.SizeBytes())/n, "bytes/pair")
-	})
-}
-
-// BenchmarkTurnIndexLookup measures MinTurn on both tiers (and the succinct
-// tier with promoted hot rows), sweeping src/dst so sparse, bitset, and
-// majority row paths are all exercised.
-func BenchmarkTurnIndexLookup(b *testing.B) {
-	u := benchUpDown(b)
-	n := u.n1
-	run := func(ix TurnIndex) func(*testing.B) {
-		return func(b *testing.B) {
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				src := (i * 31) % n
-				dst := (i*17 + i/n) % n
-				sink += ix.MinTurn(src, dst)
-			}
-			if sink == -1<<62 {
-				b.Fatal("impossible")
-			}
-		}
-	}
-	b.Run("dense", run(NewMinTurnIndex(u)))
-	b.Run("succinct", run(NewSuccinctTurnIndex(u, 0)))
-	hot := NewSuccinctTurnIndex(u, int64(n)*int64(n))
-	for src := 0; src < n; src++ {
-		for i := 0; i <= promoteAfter; i++ {
-			hot.MinTurn(src, (src+1)%n)
-		}
-	}
-	b.Run("promoted", run(hot))
 }

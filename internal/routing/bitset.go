@@ -133,82 +133,3 @@ func (b Bitset) Intersects(other Bitset) bool {
 	}
 	return false
 }
-
-// Rank returns the number of set bits in [0, i), i.e. the index bit i would
-// occupy in a packed array of the set positions. It is O(i/64); use a
-// RankDir for O(1) queries over a frozen bitset.
-func (b Bitset) Rank(i int) int {
-	wi := i >> 6
-	n := 0
-	for _, w := range b[:wi] {
-		n += bits.OnesCount64(w)
-	}
-	if rem := uint(i) & 63; rem != 0 {
-		n += bits.OnesCount64(b[wi] & ((1 << rem) - 1))
-	}
-	return n
-}
-
-// Select returns the position of the k-th set bit (k = 0 for the first), or
-// -1 when fewer than k+1 bits are set. It is the inverse of Rank:
-// Rank(Select(k)) == k for any valid k.
-func (b Bitset) Select(k int) int {
-	for wi, w := range b {
-		c := bits.OnesCount64(w)
-		if k < c {
-			// The k-th set bit lives in this word; peel set bits until it
-			// is the lowest one.
-			for ; k > 0; k-- {
-				w &= w - 1
-			}
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		k -= c
-	}
-	return -1
-}
-
-// rankBlockWords is the RankDir superblock width in words (512 bits): one
-// cumulative counter per block keeps the directory at 1/16 of the bitset
-// while bounding a rank query to at most 8 in-block popcounts.
-const rankBlockWords = 8
-
-// RankDir is a rank directory over a frozen Bitset: dir[i] is the number of
-// set bits strictly before word block i. Together with the bitset it answers
-// Rank in O(1) word operations; the bitset must not change afterwards.
-type RankDir []int32
-
-// NewRankDir builds the rank directory of b.
-func NewRankDir(b Bitset) RankDir {
-	dir := make(RankDir, (len(b)+rankBlockWords-1)/rankBlockWords+1)
-	n := int32(0)
-	for wi, w := range b {
-		if wi%rankBlockWords == 0 {
-			dir[wi/rankBlockWords] = n
-		}
-		n += int32(bits.OnesCount64(w))
-	}
-	dir[len(dir)-1] = n
-	return dir
-}
-
-// Rank returns the number of set bits of b in [0, i). b must be the bitset
-// the directory was built from.
-func (d RankDir) Rank(b Bitset, i int) int {
-	wi := i >> 6
-	blk := wi / rankBlockWords
-	n := int(d[blk])
-	for _, w := range b[blk*rankBlockWords : wi] {
-		n += bits.OnesCount64(w)
-	}
-	if rem := uint(i) & 63; rem != 0 {
-		n += bits.OnesCount64(b[wi] & ((1 << rem) - 1))
-	}
-	return n
-}
-
-// Count returns the total number of set bits recorded by the directory.
-func (d RankDir) Count() int { return int(d[len(d)-1]) }
-
-// SizeBytes returns the directory's memory footprint.
-func (d RankDir) SizeBytes() int { return 4 * len(d) }

@@ -12,7 +12,7 @@ import (
 // representation: plainCovers/plainMinTurn/plainPathAt below are the old
 // plain-bitset routing core kept verbatim as a reference, and the property
 // tests assert the hybrid-container router answers identically — covers,
-// MinTurn, paths (byte-identical rng consumption) and index builds — on
+// MinTurn, paths (byte-identical rng consumption) and unroutable counts — on
 // CFT, XGFT and random folded Clos topologies, healthy and faulted.
 
 // plainCovers recomputes every descendant and cover set the way the old
@@ -122,6 +122,33 @@ func plainPathAt(c *topology.Clos, cover [][]Bitset, src, dst, turn int, r *rng.
 	return path
 }
 
+// randomFoldedClos wires a radix-regular folded Clos with uniformly random
+// semi-regular bipartite stages — the same construction as core.Generate,
+// rebuilt here because internal/core imports this package.
+func randomFoldedClos(t *testing.T, sizes []int, half int, seed uint64) *topology.Clos {
+	t.Helper()
+	c, err := topology.NewEmpty(sizes, 1, 2*half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed)
+	for lev := 1; lev < len(sizes); lev++ {
+		nA, nB := sizes[lev-1], sizes[lev]
+		stubs := make([]int, 0, nA*half)
+		for i := 0; i < nA; i++ {
+			for k := 0; k < half; k++ {
+				stubs = append(stubs, i)
+			}
+		}
+		r.ShuffleInts(stubs)
+		dB := nA * half / nB
+		for j, a := range stubs {
+			c.AddLink(c.SwitchID(lev, a), c.SwitchID(lev+1, j/dB))
+		}
+	}
+	return c
+}
+
 // equivTopologies returns the named topology set the equivalence properties
 // run over: structured CFT/XGFT (leaf-range fast path) and random folded
 // Clos instances (builder union path).
@@ -184,8 +211,8 @@ func faultClos(t *testing.T, c *topology.Clos, stride, max int) *topology.Clos {
 
 // checkEquivalence asserts the hybrid router's state and answers match the
 // plain-bitset reference on c: cover structure, membership, MinTurn for all
-// pairs, descendant sets, unroutable-pair counts, byte-identical PathAt
-// streams, and the dense + succinct index builds.
+// pairs, descendant sets, unroutable-pair counts and byte-identical PathAt
+// streams.
 func checkEquivalence(t *testing.T, c *topology.Clos) {
 	t.Helper()
 	u := New(c)
@@ -229,24 +256,15 @@ func checkEquivalence(t *testing.T, c *topology.Clos) {
 		}
 	}
 
-	// MinTurn equality on all ordered pairs, and the dense index built from
-	// the hybrid covers matches the plain reference too.
-	dense := NewMinTurnIndex(u)
+	// MinTurn equality on all ordered pairs.
 	for src := 0; src < n1; src++ {
 		for dst := 0; dst < n1; dst++ {
 			want := plainMinTurn(c, ref, src, dst)
 			if got := u.MinTurn(src, dst); got != want {
 				t.Fatalf("MinTurn(%d, %d) = %d, plain says %d", src, dst, got, want)
 			}
-			if got := dense.MinTurn(src, dst); got != want {
-				t.Fatalf("dense index MinTurn(%d, %d) = %d, plain says %d", src, dst, got, want)
-			}
 		}
 	}
-
-	// The succinct index build consumes covers via Fill; checkAgreement
-	// compares it against the dense index and UnroutablePairs.
-	checkAgreement(t, u, NewSuccinctTurnIndex(u, 0))
 
 	// Paths must be byte-identical: the hybrid Get answers match, so the
 	// reservoir sampling consumes the rng identically.

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"rfclos/internal/rng"
@@ -214,20 +215,43 @@ func TestAverageShortestUpDown(t *testing.T) {
 
 func TestNextDownUniform(t *testing.T) {
 	// In a 2-level CFT every root reaches every leaf through exactly one
-	// child, so NextDown must be deterministic.
+	// child, so NextDownPort must be deterministic.
 	c, _ := topology.NewCFT(4, 2)
 	ud := New(c)
 	r := rng.New(64)
 	root := c.SwitchID(2, 0)
 	for dst := 0; dst < c.LevelSize(1); dst++ {
-		first := ud.NextDown(root, dst, r)
+		first := ud.NextDownPort(root, dst, r)
 		if first < 0 {
 			t.Fatalf("root cannot reach leaf %d", dst)
 		}
 		for i := 0; i < 5; i++ {
-			if got := ud.NextDown(root, dst, r); got != first {
-				t.Fatalf("NextDown not unique in CFT: %d vs %d", got, first)
+			if got := ud.NextDownPort(root, dst, r); got != first {
+				t.Fatalf("NextDownPort not unique in CFT: %d vs %d", got, first)
 			}
 		}
+	}
+}
+
+// TestPathAtMatchesPath pins PathAt as the Path decomposition: with the same
+// rng stream and the true turn level they must produce identical paths.
+func TestPathAtMatchesPath(t *testing.T) {
+	c, err := topology.NewCFT(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := New(c)
+	n := c.LevelSize(1)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			p1 := u.Path(src, dst, rng.New(42))
+			p2 := u.PathAt(src, dst, u.MinTurn(src, dst), rng.New(42))
+			if !slices.Equal(p1, p2) {
+				t.Fatalf("paths differ for %d->%d: %v vs %v", src, dst, p1, p2)
+			}
+		}
+	}
+	if u.PathAt(0, 1, -1, rng.New(1)) != nil {
+		t.Fatal("PathAt with negative turn should return nil")
 	}
 }

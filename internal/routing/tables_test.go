@@ -189,3 +189,115 @@ func TestHashPortSelectors(t *testing.T) {
 		t.Error("hash selector never varied with the key")
 	}
 }
+
+// refPorts is the naive qualifying-port enumeration over the plain-bitset
+// reference covers: the ports of s, in port order, whose parent still
+// reaches dst within rem-1 up hops (up) or whose child has dst below it
+// (down, rem ignored).
+func refPorts(c *topology.Clos, ref [][]Bitset, s int32, up bool, rem, dst int) []int {
+	nbrs, sets := c.Down(s), ref[0]
+	if up {
+		nbrs, sets = c.Up(s), ref[rem-1]
+	}
+	var ports []int
+	for i, p := range nbrs {
+		if sets[p] != nil && sets[p].Get(dst) {
+			ports = append(ports, i)
+		}
+	}
+	return ports
+}
+
+// refReservoir keeps the k-th qualifying port (k = 0 first) with
+// probability 1/(k+1), drawing r.Intn(k+1) for every k >= 1.
+func refReservoir(ports []int, r *rng.Rand) int {
+	chosen := -1
+	for k, p := range ports {
+		if k == 0 || r.Intn(k+1) == 0 {
+			chosen = p
+		}
+	}
+	return chosen
+}
+
+// refHash picks the qualifying port at key modulo the count.
+func refHash(ports []int, key uint32) int {
+	if len(ports) == 0 {
+		return -1
+	}
+	return ports[int(key%uint32(len(ports)))]
+}
+
+// TestPortSamplersMatchReference pins the four port samplers against the
+// naive enumerate-then-select reference on every switch, destination and
+// up-hop budget of healthy and faulted CFT, XGFT and random folded Clos
+// topologies: same chosen port, and the same rng consumption (the streams'
+// next Uint64 agrees after every call).
+func TestPortSamplersMatchReference(t *testing.T) {
+	for _, tc := range equivTopologies(t) {
+		for _, v := range []struct {
+			name string
+			c    *topology.Clos
+		}{
+			{"healthy", tc.c},
+			{"faulted", faultClos(t, tc.c, 3, 1<<30)},
+		} {
+			t.Run(tc.name+"/"+v.name, func(t *testing.T) {
+				c := v.c
+				ud, ref := New(c), plainCovers(c)
+				got, want := rng.New(91), rng.New(91)
+				l := c.Levels()
+				n1 := c.LevelSize(1)
+				for s := int32(0); int(s) < c.NumSwitches(); s++ {
+					lev := c.LevelOf(s)
+					for dst := 0; dst < n1; dst++ {
+						key := uint32(s)*2654435761 ^ uint32(dst)
+						check := func(what string, g, w int) {
+							t.Helper()
+							if g != w {
+								t.Fatalf("%s(s=%d, dst=%d) = %d, reference %d", what, s, dst, g, w)
+							}
+							if a, b := got.Uint64(), want.Uint64(); a != b {
+								t.Fatalf("%s(s=%d, dst=%d): rng streams diverged", what, s, dst)
+							}
+						}
+						if lev > 1 {
+							ports := refPorts(c, ref, s, false, 0, dst)
+							check("NextDownPort", ud.NextDownPort(s, dst, got), refReservoir(ports, want))
+							check("NextDownPortHash", ud.NextDownPortHash(s, dst, key), refHash(ports, key))
+						}
+						for rem := 1; lev+rem <= l; rem++ {
+							ports := refPorts(c, ref, s, true, rem, dst)
+							check("NextUpPort", ud.NextUpPort(s, rem, dst, got), refReservoir(ports, want))
+							check("NextUpPortHash", ud.NextUpPortHash(s, rem, dst, key), refHash(ports, key))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPortSamplersDoNotAllocate keeps the per-hop samplers — the cycle
+// engine's and the flow resolver's hot path — allocation-free.
+func TestPortSamplersDoNotAllocate(t *testing.T) {
+	c, err := topology.NewCFT(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ud := New(c)
+	r := rng.New(5)
+	leaf, root := c.SwitchID(1, 0), c.SwitchID(3, 0)
+	dst := c.LevelSize(1) - 1
+	rem := ud.MinTurn(0, dst)
+	for name, f := range map[string]func(){
+		"NextUpPort":       func() { ud.NextUpPort(leaf, rem, dst, r) },
+		"NextDownPort":     func() { ud.NextDownPort(root, dst, r) },
+		"NextUpPortHash":   func() { ud.NextUpPortHash(leaf, rem, dst, 7) },
+		"NextDownPortHash": func() { ud.NextDownPortHash(root, dst, 7) },
+	} {
+		if a := testing.AllocsPerRun(100, f); a != 0 {
+			t.Errorf("%s allocates %.1f times per call", name, a)
+		}
+	}
+}

@@ -151,60 +151,55 @@ func (u *UpDown) MinTurn(src, dst int) int {
 	return -1
 }
 
-// NextUp picks uniformly at random a parent of s that still reaches leaf dst
-// within rem-1 further up hops (rem >= 1 is the remaining up-hop budget).
-// It returns -1 when no such parent exists, which cannot happen when rem was
-// derived from MinTurn on an unchanged topology.
-func (u *UpDown) NextUp(s int32, rem int, dst int, r *rng.Rand) int32 {
-	prev := u.cover[rem-1]
-	// Reservoir-sample uniformly among qualifying parents without
-	// allocating.
-	chosen := int32(-1)
-	count := 0
-	for _, p := range u.c.Up(s) {
-		if cov := prev[p]; cov != nil && cov.Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = p
+// scan is the one next-hop scan behind the four port samplers. It walks
+// nbrs in port order; a neighbour qualifies when its set in sets (the rem-1
+// covers going up, the descendant sets going down) holds dst. With r
+// non-nil it reservoir-samples the qualifying ports in one pass, drawing
+// r.Intn(k) at the k-th for k >= 2; otherwise it stops at the want-th
+// (want < 0 scans them all, choosing none). It returns the qualifying count
+// seen and the chosen port, or -1 when none was chosen. The loop takes no
+// closure or interface-typed selector: it is the cycle engine's hot path.
+func scan(nbrs []int32, sets []LeafSet, dst int, r *rng.Rand, want int) (count, port int) {
+	port = -1
+	for i, p := range nbrs {
+		if cov := sets[p]; cov != nil && cov.Get(dst) {
+			if r == nil {
+				if count == want {
+					return count + 1, i
+				}
+			} else if count == 0 || r.Intn(count+1) == 0 {
+				port = i
 			}
+			count++
 		}
 	}
-	return chosen
+	return count, port
 }
 
-// NextDown picks uniformly at random a child of s whose descendants include
-// leaf dst, or -1 when none exists.
-func (u *UpDown) NextDown(s int32, dst int, r *rng.Rand) int32 {
-	desc := u.cover[0]
-	chosen := int32(-1)
-	count := 0
-	for _, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = ch
-			}
-		}
+// hashPick is the hash selector: the (key mod count)-th qualifying port.
+func hashPick(nbrs []int32, sets []LeafSet, dst int, key uint32) int {
+	count, _ := scan(nbrs, sets, dst, nil, -1)
+	if count == 0 {
+		return -1
 	}
-	return chosen
+	_, port := scan(nbrs, sets, dst, nil, int(key%uint32(count)))
+	return port
 }
 
-// NextUpPort is NextUp but returns the index into Clos.Up(s) of the chosen
-// parent instead of its switch id, for callers (the simulator) that key
-// channels by port index. Returns -1 when no parent qualifies.
+// NextUpPort picks uniformly at random the index into Clos.Up(s) of a
+// parent that still reaches leaf dst within rem-1 further up hops (rem >= 1
+// is the remaining up-hop budget), or -1 when none does, which cannot
+// happen when rem was derived from MinTurn on an unchanged topology.
 func (u *UpDown) NextUpPort(s int32, rem int, dst int, r *rng.Rand) int {
-	prev := u.cover[rem-1]
-	chosen := -1
-	count := 0
-	for i, p := range u.c.Up(s) {
-		if cov := prev[p]; cov != nil && cov.Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = i
-			}
-		}
-	}
-	return chosen
+	_, port := scan(u.c.Up(s), u.cover[rem-1], dst, r, -1)
+	return port
+}
+
+// NextDownPort picks uniformly at random the index into Clos.Down(s) of a
+// child whose descendants include leaf dst, or -1 when none does.
+func (u *UpDown) NextDownPort(s int32, dst int, r *rng.Rand) int {
+	_, port := scan(u.c.Down(s), u.cover[0], dst, r, -1)
+	return port
 }
 
 // NextUpPortHash is the deterministic counterpart of NextUpPort: among the
@@ -213,69 +208,13 @@ func (u *UpDown) NextUpPort(s int32, rem int, dst int, r *rng.Rand) int {
 // the flow identifier instead of per-packet randomisation; the simulator
 // exposes both policies.
 func (u *UpDown) NextUpPortHash(s int32, rem int, dst int, key uint32) int {
-	prev := u.cover[rem-1]
-	count := 0
-	for _, p := range u.c.Up(s) {
-		if cov := prev[p]; cov != nil && cov.Get(dst) {
-			count++
-		}
-	}
-	if count == 0 {
-		return -1
-	}
-	want := int(key % uint32(count))
-	idx := 0
-	for i, p := range u.c.Up(s) {
-		if cov := prev[p]; cov != nil && cov.Get(dst) {
-			if idx == want {
-				return i
-			}
-			idx++
-		}
-	}
-	return -1
+	return hashPick(u.c.Up(s), u.cover[rem-1], dst, key)
 }
 
 // NextDownPortHash deterministically picks among the children leading to
 // dst, keyed like NextUpPortHash.
 func (u *UpDown) NextDownPortHash(s int32, dst int, key uint32) int {
-	desc := u.cover[0]
-	count := 0
-	for _, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-		}
-	}
-	if count == 0 {
-		return -1
-	}
-	want := int(key % uint32(count))
-	idx := 0
-	for i, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			if idx == want {
-				return i
-			}
-			idx++
-		}
-	}
-	return -1
-}
-
-// NextDownPort is NextDown returning the index into Clos.Down(s), or -1.
-func (u *UpDown) NextDownPort(s int32, dst int, r *rng.Rand) int {
-	desc := u.cover[0]
-	chosen := -1
-	count := 0
-	for i, ch := range u.c.Down(s) {
-		if desc[ch].Get(dst) {
-			count++
-			if count == 1 || r.Intn(count) == 0 {
-				chosen = i
-			}
-		}
-	}
-	return chosen
+	return hashPick(u.c.Down(s), u.cover[0], dst, key)
 }
 
 // Descendants returns the descendant leaf set of switch s (immutable).
@@ -338,9 +277,9 @@ func (u *UpDown) Path(src, dst int, r *rng.Rand) []int32 {
 	return u.PathAt(src, dst, u.MinTurn(src, dst), r)
 }
 
-// PathAt is Path with the turn level supplied by the caller — typically read
-// from a precomputed MinTurnIndex instead of recomputed from the cover sets.
-// turn must be MinTurn(src, dst); a negative turn returns nil.
+// PathAt is Path with the turn level supplied by the caller, for callers
+// that already hold it. turn must be MinTurn(src, dst); a negative turn
+// returns nil.
 func (u *UpDown) PathAt(src, dst, turn int, r *rng.Rand) []int32 {
 	if r == nil {
 		r = rng.New(1)
@@ -351,17 +290,19 @@ func (u *UpDown) PathAt(src, dst, turn int, r *rng.Rand) []int32 {
 	cur := u.c.SwitchID(1, src)
 	path := []int32{cur}
 	for rem := turn; rem > 0; rem-- {
-		cur = u.NextUp(cur, rem, dst, r)
-		if cur < 0 {
+		p := u.NextUpPort(cur, rem, dst, r)
+		if p < 0 {
 			return nil
 		}
+		cur = u.c.Up(cur)[p]
 		path = append(path, cur)
 	}
 	for u.c.LevelOf(cur) > 1 {
-		cur = u.NextDown(cur, dst, r)
-		if cur < 0 {
+		p := u.NextDownPort(cur, dst, r)
+		if p < 0 {
 			return nil
 		}
+		cur = u.c.Down(cur)[p]
 		path = append(path, cur)
 	}
 	return path
@@ -394,3 +335,18 @@ func (u *UpDown) AverageShortestUpDown(samples int, r *rng.Rand) (mean float64, 
 	}
 	return total / float64(ok), float64(ok) / float64(attempted)
 }
+
+// TurnIndex answers MinTurn and reports its memory; *UpDown satisfies it.
+//
+// Deprecated: perfbench is its only caller; every other caller asks
+// UpDown.MinTurn directly.
+type TurnIndex interface {
+	MinTurn(src, dst int) int
+	SizeBytes() int
+}
+
+// NewTurnIndex returns u; the byte-budget argument is ignored.
+//
+// Deprecated: perfbench is its only caller; every other caller asks
+// UpDown.MinTurn directly.
+func NewTurnIndex(u *UpDown, _ int) TurnIndex { return u }

@@ -19,11 +19,11 @@ func BenchmarkCachedPath(b *testing.B) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
-	sum, err := c.Build(ctx, service.Spec{Kind: "rfc", Radix: 16, Levels: 3, Leaves: 48, Seed: 1})
+	const n1 = 48
+	sum, err := c.Build(ctx, service.Spec{Kind: "rfc", Radix: 16, Levels: 3, Leaves: n1, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	n1 := sum.IndexLeaves
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.PathBytes(ctx, sum.Key, i%n1, (i*7+3)%n1, uint64(i)); err != nil {

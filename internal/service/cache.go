@@ -63,7 +63,7 @@ const DefaultCacheBytes = 8 << 30
 // most maxBytes of estimated topology memory (0 means DefaultCacheBytes,
 // negative means unlimited), building misses with build (nil means the
 // package-level Build). reg, when non-nil, receives hit/miss/eviction/build
-// counters, build+index timings, and the resident-byte gauge.
+// counters, build timings, and the resident-byte gauge.
 func NewCache(capacity int, maxBytes int64, build func(Spec) (*Topology, error), reg *Registry) *Cache {
 	if capacity <= 0 {
 		capacity = 64
@@ -118,7 +118,6 @@ func (c *Cache) Get(sp Spec) (*Topology, bool, error) {
 	topo, err := c.build(norm)
 	if topo != nil {
 		c.reg.Add(metricBuildNS, topo.BuildNS)
-		c.reg.Add(metricIndexNS, topo.IndexNS)
 	}
 
 	c.mu.Lock()

@@ -53,10 +53,10 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 			sp := specs[res.spec]
 			res.sum, res.err = c.Build(ctx, sp)
 			if res.err == nil {
-				// Vary (src, dst) within the spec so cached path lookups hit
-				// different index rows concurrently.
+				// Vary (src, dst) so cached path lookups read different cover
+				// sets concurrently; every spec has at least 8 leaves.
 				src := i % 4
-				dst := res.sum.IndexLeaves - 1 - i%4
+				dst := 7 - i%4
 				res.path, res.err = c.PathBytes(ctx, res.sum.Key, src, dst, 7)
 			}
 			results[i] = res
@@ -98,7 +98,7 @@ func TestConcurrentRequestsSingleflightAndDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := i % 4
-		dst := res.sum.IndexLeaves - 1 - i%4
+		dst := 7 - i%4
 		want, err := c2.PathBytes(ctx, res.sum.Key, src, dst, 7)
 		if err != nil {
 			t.Fatal(err)

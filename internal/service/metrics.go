@@ -17,7 +17,6 @@ const (
 	metricBuilds         = "rfcd_builds_total"
 	metricBuildErrors    = "rfcd_build_errors_total"
 	metricBuildNS        = "rfcd_build_ns_total"
-	metricIndexNS        = "rfcd_index_ns_total"
 	metricHTTPErrors     = "rfcd_http_errors_total"
 	// metricCacheBytes is a gauge, not a monotonic counter: it tracks the
 	// estimated resident bytes of ready cached builds (incremented on
@@ -27,7 +26,7 @@ const (
 	// the adjacency-store share of the cached builds: CSR base + mutation
 	// overlay (Clos.StoreBytes). Together the two gauges explain
 	// cache-budget evictions from /metrics alone — the difference is what
-	// routers and indexes cost on top of the raw topologies.
+	// routers cost on top of the raw topologies.
 	metricTopologyBytes = "rfcd_topology_bytes"
 )
 

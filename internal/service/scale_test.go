@@ -11,20 +11,19 @@ import (
 )
 
 // scaleSpec is the ≥64K-leaf acceptance topology: a 3-level XGFT with
-// N1 = 65536 leaves, N2 = 1024, N3 = 8 (66568 switches). Its dense turn
-// table would be N1² = 4 GiB; the succinct tier indexes it in tens of
-// megabytes.
+// N1 = 65536 leaves, N2 = 1024, N3 = 8 (66568 switches). A per-leaf-pair
+// turn table would be N1² = 4 GiB; the compressed cover sets answer every
+// turn lookup in a few megabytes.
 func scaleSpec() Spec {
 	return Spec{Kind: "xgft", M: []int{4, 256, 256}, W: []int{1, 4, 2}, Radix: 258}
 }
 
-// TestLargeTopologySuccinctServing is the scale acceptance test: a 64K-leaf
-// topology builds, gets a succinct index at ≤ 10% of the dense footprint
-// (asserted via SizeBytes), and answers GET /v1/path through rfcd's handler
-// stack — all without the dense N1² table. It allocates ~2 GiB and runs for
-// tens of seconds, so it is skipped under -short; CI runs it as a dedicated
-// smoke step under GOMEMLIMIT.
-func TestLargeTopologySuccinctServing(t *testing.T) {
+// TestLargeTopologyServing is the scale acceptance test: a 64K-leaf
+// topology builds with routing state at ≤ 10% of a per-pair table's
+// footprint and answers GET /v1/path through rfcd's handler stack. It is
+// skipped under -short; CI runs it as a dedicated smoke step under
+// GOMEMLIMIT.
+func TestLargeTopologyServing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-topology smoke test skipped in -short mode")
 	}
@@ -48,22 +47,12 @@ func TestLargeTopologySuccinctServing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/topology: status %d", resp.StatusCode)
 	}
-	if sum.IndexLeaves != 65536 {
-		t.Fatalf("IndexLeaves = %d, want 65536", sum.IndexLeaves)
+	if sum.CoverRepr == "" {
+		t.Fatal("summary missing the cover representation")
 	}
-	if sum.IndexTier != "succinct" {
-		t.Fatalf("IndexTier = %q, want succinct (dense table must not build at 64K leaves)", sum.IndexTier)
-	}
-	dense := int64(sum.IndexLeaves) * int64(sum.IndexLeaves)
-	if int64(sum.IndexBytes)*10 > dense {
-		t.Fatalf("IndexBytes = %d, want <= 10%% of the dense equivalent %d", sum.IndexBytes, dense)
-	}
-	if !sum.Routable {
-		t.Fatal("the XGFT must be routable")
-	}
-
-	if sum.CoverBytes <= 0 || sum.CoverRepr == "" {
-		t.Fatalf("summary missing cover accounting: bytes=%d repr=%q", sum.CoverBytes, sum.CoverRepr)
+	const n1 = 65536
+	if pairTable := int64(n1) * n1; int64(sum.CoverBytes)*10 > pairTable {
+		t.Fatalf("CoverBytes = %d, want <= 10%% of a per-pair turn table %d", sum.CoverBytes, pairTable)
 	}
 
 	// Path query through the full handler stack, leaf 0 to the last leaf.
@@ -86,13 +75,11 @@ func TestLargeTopologySuccinctServing(t *testing.T) {
 		t.Fatalf("path length %d, want %d for turn %d", len(pr.Path), 2**pr.MinTurn+1, *pr.MinTurn)
 	}
 
-	// Sampled same-answers check at scale: the succinct index must agree
-	// with the cover-set computation on random pairs (the exhaustive
-	// dense-vs-succinct property runs at small scale in internal/routing).
 	topo, ok := srv.Cache().Lookup(sum.Key)
 	if !ok {
 		t.Fatal("built topology missing from cache")
 	}
+	checkCoverOnlyRouting(t, topo, sum, n1)
 
 	// Compressed-cover acceptance: the router's cover memory must be at
 	// most 10% of what the pre-compression representation would cost (one
@@ -101,17 +88,47 @@ func TestLargeTopologySuccinctServing(t *testing.T) {
 	if int64(sum.CoverBytes)*10 > plain {
 		t.Fatalf("CoverBytes = %d, want <= 10%% of the plain-bitset cost %d", sum.CoverBytes, plain)
 	}
-	if got := topo.Router.CoverBytes(); got != sum.CoverBytes {
-		t.Fatalf("summary CoverBytes %d != Router.CoverBytes %d", sum.CoverBytes, got)
-	}
 
+	// Sampled turn check at scale against the XGFT's structure: leaves in
+	// the same block of M[1] = 256 share level-2 parents (turn 1), all
+	// others meet at the roots (turn 2).
 	r := rng.New(123)
-	n := topo.Index.Leaves()
 	for i := 0; i < 2000; i++ {
-		src, dst := r.Intn(n), r.Intn(n)
-		if got, want := topo.Index.MinTurn(src, dst), topo.Router.MinTurn(src, dst); got != want {
-			t.Fatalf("MinTurn(%d, %d) = %d, cover sets say %d", src, dst, got, want)
+		src, dst := r.Intn(n1), r.Intn(n1)
+		want := 2
+		switch {
+		case src == dst:
+			want = 0
+		case src/256 == dst/256:
+			want = 1
 		}
+		if got := topo.Router.MinTurn(src, dst); got != want {
+			t.Fatalf("MinTurn(%d, %d) = %d, the XGFT structure says %d", src, dst, got, want)
+		}
+	}
+}
+
+// checkCoverOnlyRouting asserts that a routable n1-leaf build's routing
+// state is its cover sets and nothing else: the summary reports the
+// router's cover bytes, the cache charges exactly the adjacency store plus
+// those covers (no per-leaf-pair state), and the covers reach the last
+// leaf from the first.
+func checkCoverOnlyRouting(t *testing.T, topo *Topology, sum TopologySummary, n1 int) {
+	t.Helper()
+	if !sum.Routable {
+		t.Fatal("the XGFT must be routable")
+	}
+	if got := topo.Clos.LevelSize(1); got != n1 {
+		t.Fatalf("leaves = %d, want %d", got, n1)
+	}
+	if got := topo.Router.CoverBytes(); sum.CoverBytes <= 0 || got != sum.CoverBytes {
+		t.Fatalf("summary CoverBytes %d, Router.CoverBytes %d: want equal and positive", sum.CoverBytes, got)
+	}
+	if got, want := topo.MemBytes(), int64(topo.Clos.StoreBytes())+int64(sum.CoverBytes); got != want {
+		t.Fatalf("MemBytes = %d, want store + covers = %d", got, want)
+	}
+	if turn := topo.Router.MinTurn(0, n1-1); turn < 1 {
+		t.Fatalf("Router.MinTurn(0, %d) = %d, want a turn >= 1", n1-1, turn)
 	}
 }
 
@@ -132,9 +149,9 @@ func plainCoverCost(t *Topology) int64 {
 
 // paperScaleSpec is the paper-scale serving topology: a 3-level XGFT with
 // N1 = 262144 leaves (1M terminals; the paper's 200K-terminal scenario C
-// with headroom), N2 = 2048, N3 = 8. Its dense turn table would be 64 GiB
-// and the old plain-bitset covers ~26 GB — only the compressed LeafSet
-// covers plus the succinct index make it servable under GOMEMLIMIT=4GiB.
+// with headroom), N2 = 2048, N3 = 8. A per-pair turn table would be 64 GiB
+// and the old plain-bitset covers ~26 GB — the compressed LeafSet covers
+// make it servable under GOMEMLIMIT=4GiB.
 func paperScaleSpec() Spec {
 	return Spec{Kind: "xgft", M: []int{4, 512, 512}, W: []int{1, 4, 2}, Radix: 514}
 }
@@ -167,21 +184,13 @@ func TestPaperScaleServing(t *testing.T) {
 		t.Fatalf("POST /v1/topology: status %d", resp.StatusCode)
 	}
 	const n1 = 262144
-	if sum.IndexLeaves != n1 {
-		t.Fatalf("IndexLeaves = %d, want %d (maxSuccinctLeaves must admit paper scale)", sum.IndexLeaves, n1)
-	}
-	if sum.IndexTier != "succinct" {
-		t.Fatalf("IndexTier = %q, want succinct", sum.IndexTier)
-	}
-	if !sum.Routable {
-		t.Fatal("the XGFT must be routable")
-	}
 	// The covers must stay compressed: a few tens of MB, not the ~26 GB
 	// plain bitsets would need. 1% of the plain cost is already generous.
 	topo, ok := srv.Cache().Lookup(sum.Key)
 	if !ok {
 		t.Fatal("built topology missing from cache")
 	}
+	checkCoverOnlyRouting(t, topo, sum, n1)
 	if plain := plainCoverCost(topo); int64(sum.CoverBytes)*100 > plain {
 		t.Fatalf("CoverBytes = %d, want <= 1%% of the plain-bitset cost %d", sum.CoverBytes, plain)
 	}
@@ -265,8 +274,8 @@ func millionSwitchSpec() Spec {
 }
 
 // TestMillionSwitchServing is the >1M-switch smoke: the 524288-leaf build
-// is wired level by level into the CSR store, indexed (succinct tier), and
-// serves GET /v1/path and POST /v1/paths through the full handler stack.
+// is wired level by level into the CSR store, its covers compressed as the
+// levels land, and serves GET /v1/path and POST /v1/paths through the full handler stack.
 // CI runs it under GOMEMLIMIT=4GiB next to the 64K and 262144-leaf smokes.
 func TestMillionSwitchServing(t *testing.T) {
 	if testing.Short() {
@@ -293,15 +302,6 @@ func TestMillionSwitchServing(t *testing.T) {
 		t.Fatalf("POST /v1/topology: status %d", resp.StatusCode)
 	}
 	const n1 = 524288
-	if sum.IndexLeaves != n1 {
-		t.Fatalf("IndexLeaves = %d, want %d (maxSuccinctLeaves must admit the million-switch build)", sum.IndexLeaves, n1)
-	}
-	if sum.IndexTier != "succinct" {
-		t.Fatalf("IndexTier = %q, want succinct", sum.IndexTier)
-	}
-	if !sum.Routable {
-		t.Fatal("the XGFT must be routable")
-	}
 	if sum.Switches <= 1<<20 {
 		t.Fatalf("Switches = %d, want > 2^20", sum.Switches)
 	}
@@ -313,6 +313,7 @@ func TestMillionSwitchServing(t *testing.T) {
 	if !ok {
 		t.Fatal("built topology missing from cache")
 	}
+	checkCoverOnlyRouting(t, topo, sum, n1)
 	// The stored graph must stay wire-proportional: well under the old
 	// arena's ~90 MB (wires*8 + switches*48) and its covers compressed.
 	arena := int64(topo.Clos.Wires())*8 + int64(topo.Clos.NumSwitches())*48

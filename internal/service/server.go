@@ -21,14 +21,9 @@ type Options struct {
 	// (LRU). 0 means the default (64).
 	CacheSize int
 	// CacheBytes is the byte budget over the cached builds' estimated
-	// memory (adjacency + routing state + turn index). 0 means the default
+	// memory (adjacency + routing state). 0 means the default
 	// (DefaultCacheBytes, 8 GiB); negative means unlimited.
 	CacheBytes int64
-	// DenseIndexBytes is the dense turn-table budget per build: topologies
-	// whose N1² table fits get the O(1) dense tier, larger ones the
-	// succinct tier. 0 means the default (DefaultDenseIndexBytes, 64 MiB);
-	// negative means always dense.
-	DenseIndexBytes int
 }
 
 // Server is the rfcd request handler: the topology cache plus the HTTP/JSON
@@ -42,13 +37,8 @@ type Server struct {
 // New returns a ready-to-serve Server.
 func New(opts Options) *Server {
 	reg := NewRegistry()
-	denseBudget := opts.DenseIndexBytes
-	if denseBudget == 0 {
-		denseBudget = DefaultDenseIndexBytes
-	}
-	build := func(sp Spec) (*Topology, error) { return BuildIndexed(sp, denseBudget) }
 	s := &Server{
-		cache: NewCache(opts.CacheSize, opts.CacheBytes, build, reg),
+		cache: NewCache(opts.CacheSize, opts.CacheBytes, Build, reg),
 		reg:   reg,
 		mux:   http.NewServeMux(),
 	}
@@ -131,13 +121,6 @@ type TopologySummary struct {
 	Wires     int    `json:"wires"`
 	Routable  bool   `json:"routable"`
 	Attempts  int    `json:"attempts,omitempty"`
-	// IndexLeaves/IndexBytes/IndexTier describe the precomputed up/down
-	// route index of folded Clos kinds: tier "dense" is the O(1)-lookup N1²
-	// table, "succinct" the exception-coded representation for large N1
-	// (absent above maxSuccinctLeaves, where queries use cover sets).
-	IndexLeaves int    `json:"index_leaves,omitempty"`
-	IndexBytes  int    `json:"index_bytes,omitempty"`
-	IndexTier   string `json:"index_tier,omitempty"`
 	// CoverBytes/CoverRepr describe the router's compressed cover state
 	// (folded Clos kinds): CoverBytes is the memory the cache budget is
 	// charged for the cover containers, CoverRepr the per-container
@@ -166,11 +149,6 @@ func (s *Server) summarize(t *Topology, cached bool) TopologySummary {
 	if t.Clos != nil {
 		sum.Levels = t.Clos.Levels()
 		sum.Radix = t.Clos.Radix
-	}
-	if t.Index != nil {
-		sum.IndexLeaves = t.Index.Leaves()
-		sum.IndexBytes = t.Index.SizeBytes()
-		sum.IndexTier = t.Index.Tier()
 	}
 	if t.Router != nil {
 		sum.CoverBytes = t.Router.CoverBytes()
@@ -360,15 +338,9 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("src/dst must be leaf-switch indices in [0, %d)", n1))
 		return
 	}
-	// O(1) turn lookup from the precomputed index when present, cover-set
-	// computation otherwise; then materialise the random shortest up/down
-	// path from the query seed.
-	var turn int
-	if t.Index != nil {
-		turn = t.Index.MinTurn(src, dst)
-	} else {
-		turn = t.Router.MinTurn(src, dst)
-	}
+	// Turn level from the cover sets, then the random shortest up/down path
+	// from the query seed.
+	turn := t.Router.MinTurn(src, dst)
 	resp.MinTurn = &turn
 	resp.Routable = turn >= 0
 	if turn >= 0 {
@@ -472,12 +444,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("pair (%d,%d): src/dst must be leaf-switch indices in [0, %d)", src, dst, n1))
 			return
 		}
-		var turn int
-		if t.Index != nil {
-			turn = t.Index.MinTurn(src, dst)
-		} else {
-			turn = t.Router.MinTurn(src, dst)
-		}
+		turn := t.Router.MinTurn(src, dst)
 		res := PathResult{Src: src, Dst: dst, Routable: turn >= 0}
 		mt := turn
 		res.MinTurn = &mt
@@ -665,8 +632,8 @@ func (s *Server) handleThroughput(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Folded Clos builds reuse the cached router and precomputed turn index;
-	// RRNs pay a per-request BFS table (no routing state is cached for them).
+	// Folded Clos builds reuse the cached router; RRNs pay a per-request BFS
+	// table (no routing state is cached for them).
 	var net flow.Network
 	if t.RRN != nil {
 		rn, err := flow.NewRRN(t.RRN, 0)
@@ -676,7 +643,7 @@ func (s *Server) handleThroughput(w http.ResponseWriter, r *http.Request) {
 		}
 		net = rn
 	} else {
-		net = flow.NewClos(t.Clos, t.Router, t.Index)
+		net = flow.NewClosNetwork(t.Router)
 	}
 	stream := rng.At(req.Seed, rng.StringCoord("rfcd/throughput"))
 	m, err := traffic.NewMatrix(req.Matrix, net.Terminals(), stream)

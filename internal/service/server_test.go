@@ -65,6 +65,66 @@ func buildTopology(t *testing.T, base string, sp Spec) TopologySummary {
 	return sum
 }
 
+// postBody posts v as JSON to path and returns status and raw body.
+func postBody(t *testing.T, base, path string, v any) (int, []byte) {
+	t.Helper()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.Bytes()
+}
+
+// TestSummaryPureAfterPathTraffic pins the summary contract: apart from
+// cached, a topology summary is a pure function of the spec, so path
+// traffic against a cached build cannot change it, and the build's memory
+// stays what the cache charged at insertion.
+func TestSummaryPureAfterPathTraffic(t *testing.T) {
+	srv, ts := newTestServer(t)
+	sp := Spec{Kind: "xgft", M: []int{4, 8, 2048}, W: []int{1, 8, 2}}
+	code, first := postBody(t, ts.URL, "/v1/topology", sp)
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/topology: HTTP %d: %s", code, first)
+	}
+	var sum TopologySummary
+	if err := json.Unmarshal(first, &sum); err != nil {
+		t.Fatal(err)
+	}
+	const n1 = 8 * 2048
+	for i := 0; i < 100; i++ {
+		path := fmt.Sprintf("/v1/path?key=%s&src=0&dst=%d&seed=%d", sum.Key, (i*7919+1)%n1, i+1)
+		if code, body := getBody(t, ts.URL, path); code != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", path, code, body)
+		}
+	}
+	code, again := postBody(t, ts.URL, "/v1/topology", sp)
+	if code != http.StatusOK {
+		t.Fatalf("re-POST /v1/topology: HTTP %d: %s", code, again)
+	}
+	if !bytes.Contains(first, []byte(`"cached":false`)) || !bytes.Contains(again, []byte(`"cached":true`)) {
+		t.Fatalf("cached flags wrong:\n%s%s", first, again)
+	}
+	if got := bytes.Replace(again, []byte(`"cached":true`), []byte(`"cached":false`), 1); !bytes.Equal(got, first) {
+		t.Fatalf("summary changed after path traffic:\n%s%s", first, again)
+	}
+	topo, ok := srv.Cache().Lookup(sum.Key)
+	if !ok {
+		t.Fatal("build missing from the cache")
+	}
+	if got, want := srv.Cache().Bytes(), topo.MemBytes(); got != want {
+		t.Fatalf("cache charges %d bytes, ready entries' MemBytes sum to %d", got, want)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, body := getBody(t, ts.URL, "/healthz")
@@ -96,8 +156,8 @@ func TestTopologyEndpoint(t *testing.T) {
 	if sum.Switches != 2*16+8 {
 		t.Errorf("switches = %d, want %d", sum.Switches, 2*16+8)
 	}
-	if sum.IndexLeaves != 16 {
-		t.Errorf("index_leaves = %d, want 16 (index should be precomputed)", sum.IndexLeaves)
+	if sum.CoverBytes <= 0 || sum.CoverRepr == "" {
+		t.Errorf("cover_bytes = %d, cover_repr = %q: want the router's cover accounting", sum.CoverBytes, sum.CoverRepr)
 	}
 	if sum.XParam == nil || sum.ThresholdRadix == nil {
 		t.Error("rfc summary missing Theorem 4.2 fields")

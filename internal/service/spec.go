@@ -3,8 +3,8 @@
 // topology, routing, expandability and fault queries about RFC, fat-tree
 // and random-regular builds. Builds are memoised in a content-addressed
 // LRU cache with singleflight deduplication, and every cached folded Clos
-// carries a precomputed up/down route index, so cached path queries are
-// O(path length).
+// keeps its up/down cover sets, which answer every path query directly;
+// no per-leaf-pair state is built.
 //
 // Every response body is a pure function of the request parameters and
 // seeds (the sole exception is the "cached" flag, which reflects server
@@ -54,20 +54,11 @@ type Spec struct {
 // memory; the paper's largest scenario (200K terminals) is well within it.
 const maxSwitches = 1 << 21
 
-// DefaultDenseIndexBytes is the default byte budget for the dense turn
-// table: topologies whose N1² table fits in it get the O(1)-lookup dense
-// tier (64 MiB = 8192 leaves); larger ones get the succinct tier. The old
-// hard 4096-leaf indexing cap is gone — tier selection replaced it.
+// DefaultDenseIndexBytes was the byte budget of the dense turn table, which
+// no longer exists.
+//
+// Deprecated: perfbench is its only caller; nothing reads it.
 const DefaultDenseIndexBytes = 64 << 20
-
-// maxSuccinctLeaves bounds the leaf count for which even the succinct index
-// is precomputed: its build walks O(levels·N1²/64) words, which at 512K
-// leaves is tens of seconds of CPU. The compressed cover representation
-// (routing.LeafSet) keeps the router itself far below this, so the bound
-// covers the paper's 200K-terminal scenario C with headroom. Beyond it,
-// path queries fall back to the cover-set MinTurn, which is O(levels) per
-// query with no precomputation.
-const maxSuccinctLeaves = 1 << 19
 
 // Normalize validates sp, fills kind-specific defaults and canonicalises
 // fields that do not affect the build (the seed of deterministic kinds),
@@ -164,10 +155,10 @@ func (sp Spec) Key() string {
 	return fmt.Sprintf("%016x", rng.StringCoord(sp.Canonical()))
 }
 
-// Topology is one cached build: the network, its routing state and the
-// precomputed route index (folded Clos kinds), or the random regular
-// network (rrn). All fields are immutable after Build returns, so a cached
-// Topology may be read concurrently without locking.
+// Topology is one cached build: the network and its up/down routing state
+// (folded Clos kinds), or the random regular network (rrn). All fields are
+// immutable after Build returns, so a cached Topology may be read
+// concurrently without locking.
 type Topology struct {
 	Key   string
 	Canon string
@@ -176,9 +167,9 @@ type Topology struct {
 	// Folded Clos kinds (rfc, cft, kary, oft, xgft).
 	Clos   *topology.Clos
 	Router *routing.UpDown
-	// Index is the precomputed turn index: the dense tier when the N1²
-	// table fits the build's dense-index budget, the succinct tier up to
-	// maxSuccinctLeaves, nil beyond that (queries use Router.MinTurn).
+	// Index is Router (nil for rrn).
+	//
+	// Deprecated: perfbench is its only caller; use Router.
 	Index routing.TurnIndex
 
 	// rrn only.
@@ -187,26 +178,15 @@ type Topology struct {
 	Routable bool
 	Attempts int // rfc: generation attempts used
 
-	// BuildNS and IndexNS record the wall-clock cost of the build and of
-	// the route-index precomputation. They feed /metrics only — response
-	// bodies stay pure functions of (params, seed).
+	// BuildNS records the wall-clock cost of the build. It feeds /metrics
+	// only — response bodies stay pure functions of (params, seed).
 	BuildNS int64
-	IndexNS int64
 }
 
-// Build constructs the topology a normalized spec describes with the
-// default dense-index budget. The network is a pure function of the spec —
-// the same spec always yields an identical network; only the
-// BuildNS/IndexNS timing fields vary between runs.
+// Build constructs the topology a normalized spec describes. The network
+// is a pure function of the spec — the same spec always yields an
+// identical network; only the BuildNS timing field varies between runs.
 func Build(sp Spec) (*Topology, error) {
-	return BuildIndexed(sp, DefaultDenseIndexBytes)
-}
-
-// BuildIndexed is Build with an explicit dense-index byte budget: folded
-// Clos topologies whose N1² turn table fits in denseIndexBytes carry the
-// dense tier, larger ones (up to maxSuccinctLeaves) the succinct tier.
-// denseIndexBytes <= 0 means the dense table is always used.
-func BuildIndexed(sp Spec, denseIndexBytes int) (*Topology, error) {
 	start := time.Now() //rfclint:allow handler-purity -- build duration feeds /metrics counters, never response bytes
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
 	// Every deterministic folded Clos kind builds through the streaming
@@ -252,11 +232,7 @@ func BuildIndexed(sp Spec, denseIndexBytes int) (*Topology, error) {
 			t.Router = rs.Finish(t.Clos)
 			t.Routable = t.Router.Routable()
 		}
-		if t.Clos.LevelSize(1) <= maxSuccinctLeaves {
-			ixStart := time.Now() //rfclint:allow handler-purity -- index duration feeds /metrics counters, never response bytes
-			t.Index = routing.NewTurnIndex(t.Router, denseIndexBytes)
-			t.IndexNS = time.Since(ixStart).Nanoseconds() //rfclint:allow handler-purity -- metrics-only timing
-		}
+		t.Index = t.Router
 	}
 	t.BuildNS = time.Since(start).Nanoseconds() //rfclint:allow handler-purity -- metrics-only timing
 	return t, nil
@@ -288,10 +264,10 @@ func (t *Topology) Wires() int {
 
 // MemBytes estimates the resident cost of the cached build: the topology's
 // own accounting of its CSR level store plus mutation overlay
-// (Clos.StoreBytes), the router's compressed cover containers
-// (UpDown.CoverBytes via SizeBytes), and the turn index. The cache charges
-// this against its byte budget, so one huge build evicts many small ones
-// rather than none.
+// (Clos.StoreBytes) and the router's compressed cover containers
+// (UpDown.CoverBytes via SizeBytes). The cache charges this against its
+// byte budget, so one huge build evicts many small ones rather than none.
+// The build never grows after insertion, so the charge stays exact.
 func (t *Topology) MemBytes() int64 {
 	const sliceHeader = 24
 	if t.RRN != nil {
@@ -300,9 +276,6 @@ func (t *Topology) MemBytes() int64 {
 	n := int64(t.Clos.StoreBytes())
 	if t.Router != nil {
 		n += int64(t.Router.SizeBytes())
-	}
-	if t.Index != nil {
-		n += int64(t.Index.SizeBytes())
 	}
 	return n
 }

@@ -14,11 +14,8 @@
 #     compile time is excluded, and
 #   - serving layer: cached GET /v1/path throughput in req/sec through the
 #     full HTTP stack (BenchmarkCachedPath: in-process rfcd + Go client), and
-#   - succinct route index: build time, bytes per leaf-pair (dense = 1.0)
-#     and MinTurn lookup latency on a 4096-leaf XGFT
-#     (BenchmarkTurnIndexBuild / BenchmarkTurnIndexLookup), and
 #   - compressed cover sets: UpDown.Rebuild wall time plus compressed vs
-#     plain-bitset cover bytes on the same XGFT (BenchmarkCoverBuild), and
+#     plain-bitset cover bytes on a 4096-leaf XGFT (BenchmarkCoverBuild), and
 #   - CSR level store: XGFT wiring time through the level emitter and the
 #     sealed store's bytes next to the pre-refactor [][]int32 arena cost
 #     model, at 64K and 512K leaves (BenchmarkTopologyBuild), and
@@ -98,23 +95,12 @@ cps=$(go test -run '^$' -bench BenchmarkEngineCycles -benchtime 2s ./internal/si
 : "${cps:?bench.sh: BenchmarkEngineCycles produced no cycles/sec metric}"
 
 # Serving layer: cached path-query throughput over HTTP (warm cache, so
-# this measures the route index + JSON + HTTP stack, not topology builds).
+# this measures cover-set routing + JSON + HTTP, not topology builds).
 rps=$(go test -run '^$' -bench BenchmarkCachedPath -benchtime 2s ./internal/service/ |
 	awk '/req\/sec/ { print $(NF-1) }')
 : "${rps:?bench.sh: BenchmarkCachedPath produced no req/sec metric}"
 
-# Succinct route index (4096-leaf XGFT): build time, compression ratio in
-# bytes per leaf-pair (dense = 1.0), and MinTurn lookup latency.
-idx_out=$(go test -run '^$' -bench 'BenchmarkTurnIndex(Build|Lookup)' \
-	-benchtime 1s ./internal/routing/)
-idx_build_ns=$(printf '%s\n' "$idx_out" | awk '$1 ~ /TurnIndexBuild\/succinct/ { print $3 }')
-idx_bytes_pair=$(printf '%s\n' "$idx_out" | awk '$1 ~ /TurnIndexBuild\/succinct/ && /bytes\/pair/ { print $(NF-1) }')
-idx_lookup_ns=$(printf '%s\n' "$idx_out" | awk '$1 ~ /TurnIndexLookup\/succinct/ { print $3 }')
-: "${idx_build_ns:?bench.sh: BenchmarkTurnIndexBuild produced no succinct ns/op}"
-: "${idx_bytes_pair:?bench.sh: BenchmarkTurnIndexBuild produced no bytes/pair metric}"
-: "${idx_lookup_ns:?bench.sh: BenchmarkTurnIndexLookup produced no succinct ns/op}"
-
-# Compressed cover sets (same 4096-leaf XGFT): streaming Rebuild time and
+# Compressed cover sets (4096-leaf XGFT): streaming Rebuild time and
 # the hybrid-container footprint next to the plain one-bitset-per-set cost.
 cov_out=$(go test -run '^$' -bench BenchmarkCoverBuild -benchtime 1s ./internal/routing/)
 cov_build_ns=$(printf '%s\n' "$cov_out" | awk '$1 ~ /CoverBuild/ { print $3 }')
@@ -190,7 +176,6 @@ append_point "  {\"date\": \"$date\", \"benchmark\": \"simcore-engine\", \"cycle
 append_point "  {\"date\": \"$date\", \"benchmark\": \"rfcmerge\", \"exhibit\": \"fig8\", \"shards\": 2, \"input_bytes\": $part_bytes, \"merge_s\": $merge_s, \"mb_per_sec\": $merge_mbps}"
 append_point "  {\"date\": \"$date\", \"benchmark\": \"rfclint\", \"packages\": $lint_pkgs, \"lint_s\": $lint_s}"
 append_point "  {\"date\": \"$date\", \"benchmark\": \"rfcd-path\", \"req_per_sec\": $rps}"
-append_point "  {\"date\": \"$date\", \"benchmark\": \"succinct-index\", \"leaves\": 4096, \"build_ns\": $idx_build_ns, \"bytes_per_pair\": $idx_bytes_pair, \"lookup_ns\": $idx_lookup_ns}"
 append_point "  {\"date\": \"$date\", \"benchmark\": \"cover-build\", \"leaves\": 4096, \"build_ns\": $cov_build_ns, \"cover_bytes\": $cov_bytes, \"plain_bytes\": $cov_plain_bytes}"
 append_point "  {\"date\": \"$date\", \"benchmark\": \"topology-build\", \"leaves\": 65536, \"wire_ns\": $topo64_ns, \"csr_bytes\": $topo64_csr, \"arena_bytes\": $topo64_arena}"
 append_point "  {\"date\": \"$date\", \"benchmark\": \"topology-build\", \"leaves\": 524288, \"wire_ns\": $topo512_ns, \"csr_bytes\": $topo512_csr, \"arena_bytes\": $topo512_arena}"
@@ -202,7 +187,6 @@ echo "simcore engine: $cps simulated cycles/sec"
 echo "rfcmerge: 2 shards, $part_bytes bytes in ${merge_s}s (${merge_mbps} MB/s), byte-identical to unsharded"
 echo "rfclint: $lint_pkgs packages clean in ${lint_s}s"
 echo "rfcd: $rps cached /v1/path req/sec"
-echo "succinct index (4096 leaves): build ${idx_build_ns}ns, ${idx_bytes_pair} bytes/pair, lookup ${idx_lookup_ns}ns"
 echo "cover sets (4096 leaves): rebuild ${cov_build_ns}ns, $cov_bytes compressed vs $cov_plain_bytes plain bytes"
 echo "topology build (64K leaves): wire ${topo64_ns}ns, $topo64_csr CSR vs $topo64_arena arena bytes"
 echo "topology build (512K leaves): wire ${topo512_ns}ns, $topo512_csr CSR vs $topo512_arena arena bytes"
