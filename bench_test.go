@@ -84,7 +84,7 @@ func BenchmarkFig11UpDownFaults(b *testing.B) {
 
 func BenchmarkFig12FaultThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Fig12FaultThroughput(Fig12Options{
+		rep, err := Fig12FaultThroughput(FaultSweepOptions{
 			Scale:      ScaleSmall,
 			FaultSteps: 2,
 			Reps:       1,

@@ -25,7 +25,6 @@ import (
 	"runtime"
 
 	"rfclos"
-	"rfclos/internal/analysis"
 	"rfclos/internal/engine"
 	"rfclos/internal/flow"
 	"rfclos/internal/metrics"
@@ -101,7 +100,7 @@ func run(topo string, radix, levels, leaves, q int, pattern string, load float64
 	}
 
 	if faults > 0 {
-		analysis.RemoveRandomLinks(c, faults, rng.At(seed, rng.StringCoord("rfcsim/faults")))
+		c.RemoveRandomLinks(faults, rng.At(seed, rng.StringCoord("rfcsim/faults")))
 		router.Rebuild()
 		fmt.Printf("# removed %d links; up/down routable: %v\n", faults, router.Routable())
 	}

@@ -25,7 +25,7 @@ func TestFacadeSmoke(t *testing.T) {
 	if rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 1, MaxLeavesCap: 40, Seed: 1}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Fig11UpDownFaults: %v", err)
 	}
-	if rep, err := Fig12FaultThroughput(Fig12Options{FaultSteps: 1, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Fig12FaultThroughput(FaultSweepOptions{FaultSteps: 1, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Fig12FaultThroughput: %v", err)
 	}
 	opts := SimOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Patterns: []string{"uniform"}, Seed: 1}

@@ -97,23 +97,6 @@ func TestRFCToleratesMoreThanCFTAtEqualRadix(t *testing.T) {
 	}
 }
 
-func TestRemoveRandomLinks(t *testing.T) {
-	c, err := topology.NewCFT(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.Wires()
-	removed := RemoveRandomLinks(c, 3, rng.New(5))
-	if len(removed) != 3 || c.Wires() != before-3 {
-		t.Errorf("removed %d links, wires %d -> %d", len(removed), before, c.Wires())
-	}
-	// Removing more than exist clamps.
-	c2, _ := topology.NewCFT(4, 2)
-	if got := RemoveRandomLinks(c2, 10000, rng.New(6)); len(got) != before {
-		t.Errorf("clamped removal = %d, want %d", len(got), before)
-	}
-}
-
 func TestSizingRules(t *testing.T) {
 	// §7's quoted radices: T≈2048 → CFT R=20, RFC R=14, RRN R=13.
 	if r := cftRadixFor(2048, 3); r != 20 {
@@ -323,7 +306,7 @@ func TestScenarioSweepTiny(t *testing.T) {
 }
 
 func TestFig12Tiny(t *testing.T) {
-	rep, err := Fig12FaultThroughput(Fig12Options{
+	rep, err := Fig12FaultThroughput(FaultSweepOptions{
 		Scale:      ScaleSmall,
 		FaultSteps: 2,
 		Reps:       1,
@@ -345,7 +328,7 @@ func TestFig12Tiny(t *testing.T) {
 }
 
 func TestRRNFaultsTiny(t *testing.T) {
-	rep, err := RRNFaults(RRNFaultsOptions{
+	rep, err := RRNFaults(FaultSweepOptions{
 		Scale:      ScaleSmall,
 		FaultSteps: 2,
 		Reps:       1,

@@ -47,7 +47,7 @@ func TestScenarioSweepWorkerInvariance(t *testing.T) {
 }
 
 func TestFig12WorkerInvariance(t *testing.T) {
-	opts := Fig12Options{
+	opts := FaultSweepOptions{
 		Scale:      ScaleSmall,
 		FaultSteps: 1,
 		Reps:       2,
@@ -64,7 +64,7 @@ func TestFig12WorkerInvariance(t *testing.T) {
 }
 
 func TestRRNFaultsWorkerInvariance(t *testing.T) {
-	opts := RRNFaultsOptions{
+	opts := FaultSweepOptions{
 		Scale:      ScaleSmall,
 		FaultSteps: 1,
 		Reps:       2,
@@ -181,6 +181,31 @@ func TestAdversarialShardMerge(t *testing.T) {
 	assertShardMerge(t, "Adversarial", func(sh engine.Shard) (*Report, error) {
 		return Adversarial(AdversarialOptions{
 			Reps: 2, Sim: simnet.Config{WarmupCycles: 100, MeasureCycles: 300}, Seed: 31, Shard: sh,
+		})
+	})
+}
+
+func TestFig12ShardMerge(t *testing.T) {
+	assertShardMerge(t, "Fig12FaultThroughput", func(sh engine.Shard) (*Report, error) {
+		return Fig12FaultThroughput(FaultSweepOptions{
+			FaultSteps: 1, Reps: 2, Sim: simnet.Config{WarmupCycles: 100, MeasureCycles: 300}, Seed: 23, Shard: sh,
+		})
+	})
+}
+
+func TestRRNFaultsShardMerge(t *testing.T) {
+	assertShardMerge(t, "RRNFaults", func(sh engine.Shard) (*Report, error) {
+		return RRNFaults(FaultSweepOptions{
+			FaultSteps: 1, Reps: 2, Sim: simnet.Config{WarmupCycles: 100, MeasureCycles: 300}, Seed: 23, Shard: sh,
+		})
+	})
+}
+
+func TestJellyfishShardMerge(t *testing.T) {
+	assertShardMerge(t, "Jellyfish", func(sh engine.Shard) (*Report, error) {
+		return Jellyfish(JellyfishOptions{
+			Loads: []float64{0.4, 0.9}, Reps: 2, Sim: simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
+			Seed: 33, Shard: sh,
 		})
 	})
 }

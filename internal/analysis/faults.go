@@ -34,8 +34,7 @@ func FaultsToDisconnect(g *graph.Graph, r *rng.Rand) int {
 
 // AverageFaultsToDisconnect averages FaultsToDisconnect over trials and
 // returns the mean fraction of links whose removal disconnects the network.
-// The trials draw from the shared generator in sequence; parallel callers
-// use AverageFaultsToDisconnectSeeded instead.
+// The trials draw from the shared generator in sequence.
 func AverageFaultsToDisconnect(g *graph.Graph, trials int, r *rng.Rand) float64 {
 	if g.M() == 0 {
 		return 0
@@ -43,24 +42,6 @@ func AverageFaultsToDisconnect(g *graph.Graph, trials int, r *rng.Rand) float64 
 	sum := 0.0
 	for i := 0; i < trials; i++ {
 		sum += float64(FaultsToDisconnect(g, r))
-	}
-	return sum / float64(trials) / float64(g.M())
-}
-
-// AverageFaultsToDisconnectSeeded is AverageFaultsToDisconnect with the
-// removal trials fanned out over a worker pool: trial i draws its removal
-// order from rng.At(seed, i), so the mean is a pure function of (g, trials,
-// seed), identical for every worker count. workers <= 0 means one per CPU.
-func AverageFaultsToDisconnectSeeded(g *graph.Graph, trials, workers int, seed uint64) float64 {
-	if g.M() == 0 || trials <= 0 {
-		return 0
-	}
-	counts, _ := engine.Run(trials, workers, func(i int) (int, error) {
-		return FaultsToDisconnect(g, rng.At(seed, uint64(i))), nil
-	})
-	sum := 0.0
-	for _, n := range counts {
-		sum += float64(n)
 	}
 	return sum / float64(trials) / float64(g.M())
 }
@@ -130,8 +111,7 @@ func FaultsUntilUpDownLost(c *topology.Clos, r *rng.Rand) int {
 
 // AverageUpDownFaultTolerance averages FaultsUntilUpDownLost over trials and
 // returns the mean tolerated fraction of links. The trials draw from the
-// shared generator in sequence; parallel callers use
-// AverageUpDownFaultToleranceSeeded instead.
+// shared generator in sequence.
 func AverageUpDownFaultTolerance(c *topology.Clos, trials int, r *rng.Rand) float64 {
 	if c.Wires() == 0 {
 		return 0
@@ -141,37 +121,4 @@ func AverageUpDownFaultTolerance(c *topology.Clos, trials int, r *rng.Rand) floa
 		sum += float64(FaultsUntilUpDownLost(c, r))
 	}
 	return sum / float64(trials) / float64(c.Wires())
-}
-
-// AverageUpDownFaultToleranceSeeded is AverageUpDownFaultTolerance with the
-// removal trials fanned out over a worker pool: trial i draws its removal
-// order from rng.At(seed, i), so the mean is a pure function of (c, trials,
-// seed), identical for every worker count. Each trial clones the topology
-// per probe and only reads c, so concurrent trials are safe.
-func AverageUpDownFaultToleranceSeeded(c *topology.Clos, trials, workers int, seed uint64) float64 {
-	if c.Wires() == 0 || trials <= 0 {
-		return 0
-	}
-	counts, _ := engine.Run(trials, workers, func(i int) (int, error) {
-		return FaultsUntilUpDownLost(c, rng.At(seed, uint64(i))), nil
-	})
-	sum := 0.0
-	for _, n := range counts {
-		sum += float64(n)
-	}
-	return sum / float64(trials) / float64(c.Wires())
-}
-
-// RemoveRandomLinks deletes n uniformly random links from c (in place) and
-// returns the removed links.
-func RemoveRandomLinks(c *topology.Clos, n int, r *rng.Rand) []topology.Link {
-	links := c.Links()
-	r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	if n > len(links) {
-		n = len(links)
-	}
-	for _, l := range links[:n] {
-		c.RemoveLink(l.A, l.B)
-	}
-	return links[:n]
 }

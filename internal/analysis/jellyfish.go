@@ -7,7 +7,6 @@ import (
 	"rfclos/internal/engine"
 	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -85,15 +84,10 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		return nil, err
 	}
 
-	// The three rows of the comparison; rrn == nil marks the RFC row,
-	// which runs on the indirect-network simulator.
-	rows := []struct {
-		name string
-		rrn  *topology.RRN
-	}{
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), nil},
-		{fmt.Sprintf("RRN-eqT-R%d", spec.Radix()), eqT},
-		{fmt.Sprintf("RRN-eqEquip-R%d", eqRadix), eqEquip},
+	rows := []netUnderTest{
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc, ud: rud},
+		{name: fmt.Sprintf("RRN-eqT-R%d", spec.Radix()), rrn: eqT},
+		{name: fmt.Sprintf("RRN-eqEquip-R%d", eqRadix), rrn: eqEquip},
 	}
 
 	type outcome struct{ acc, lat float64 }
@@ -104,28 +98,10 @@ func Jellyfish(opts JellyfishOptions) (*Report, error) {
 		rep := i % opts.Reps
 		stream := rng.At(opts.Seed, rng.StringCoord("jellyfish/"+row.name),
 			math.Float64bits(load), uint64(rep))
-		if row.rrn == nil {
-			cfg := opts.Sim
-			cfg.Seed = stream.Uint64()
-			res := simnet.New(rfc, rud, traffic.NewUniform(rfc.Terminals()), cfg).Run(load)
-			return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-		}
-		cfg := simdirect.Config{
-			VCs:            16, // covers any small-network diameter
-			BufferPackets:  opts.Sim.BufferPackets,
-			PacketLength:   opts.Sim.PacketLength,
-			LinkLatency:    opts.Sim.LinkLatency,
-			WarmupCycles:   opts.Sim.WarmupCycles,
-			MeasureCycles:  opts.Sim.MeasureCycles,
-			SourceQueueCap: opts.Sim.SourceQueueCap,
-			Seed:           stream.Uint64(),
-		}
-		sim, err := simdirect.New(row.rrn, traffic.NewUniform(row.rrn.Terminals()), cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		res := sim.Run(load)
-		return outcome{res.AcceptedLoad, res.AvgLatency}, nil
+		cfg := opts.Sim
+		cfg.Seed = stream.Uint64()
+		res, err := simulate(row, traffic.NewUniform(row.terminals()), cfg, load)
+		return outcome{res.AcceptedLoad, res.AvgLatency}, err
 	})
 	if err != nil {
 		return nil, err

@@ -263,5 +263,3 @@ func (r *Report) MissingObs() int {
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
-func ftoa(v float64) string { return fmt.Sprintf("%.4g", v) }

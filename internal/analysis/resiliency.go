@@ -250,28 +250,69 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 	return rep, nil
 }
 
-// Fig12Options parameterises the throughput-under-faults experiment.
-type Fig12Options struct {
+// FaultSweepOptions parameterises the throughput-under-faults sweeps:
+// Figure 12 and its RRN extension.
+type FaultSweepOptions struct {
 	Scale      Scale
 	FaultSteps int // number of fault increments (paper: 10 steps of 300)
 	Reps       int
-	Sim        simnet.Config
+	Sim        simnet.Config // Table 2 parameters, shared by both network classes
 	// Workers sizes the worker pool the (network × pattern × fault step ×
 	// rep) grid fans out on; 0 means one per CPU.
 	Workers  int
 	Seed     uint64
 	Progress func(string)
 	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically.
+	// partial reports merge byte-identically (see engine.Shard).
 	Shard engine.Shard
 }
 
-// fig12Job is one (network, pattern, fault count, repetition) grid point.
-type fig12Job struct {
-	net     netUnderTest
-	pattern string
-	faults  int
-	rep     int
+func (o FaultSweepOptions) withDefaults() FaultSweepOptions {
+	if o.FaultSteps <= 0 {
+		o.FaultSteps = 10
+	}
+	if o.Reps <= 0 {
+		o.Reps = 2
+	}
+	if o.Scale == "" {
+		o.Scale = ScaleSmall
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
+// faultSweep runs a fault-throughput grid: each network sweeps FaultSteps+1
+// equal fault increments up to ~13% of its wires, and accepted measures one
+// (network, pattern, faults, rep) point from the job's stream. The series
+// are named network/pattern.
+func faultSweep(label string, nets []string, wires []int, patterns []string, opts FaultSweepOptions,
+	accepted func(j gridJob, faults int, stream *rng.Rand) (float64, error)) (*seriesSet, error) {
+	return seriesGrid{
+		label: label, nets: nets,
+		xs: func(net int) []float64 {
+			step := max(wires[net]*13/100/opts.FaultSteps, 1)
+			xs := make([]float64, opts.FaultSteps+1)
+			for f := range xs {
+				xs[f] = float64(f * step)
+			}
+			return xs
+		},
+		xBits:    func(x float64) uint64 { return uint64(x) },
+		patterns: patterns, reps: opts.Reps, suffixes: []string{""},
+		seed: opts.Seed, workers: opts.Workers, shard: opts.Shard,
+	}.run(func(j gridJob, stream *rng.Rand) ([]float64, error) {
+		acc, err := accepted(j, int(j.x), stream)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Progress != nil {
+			opts.Progress(fmt.Sprintf("%s/%s faults=%d rep=%d accepted=%.3f",
+				nets[j.net], j.pattern, int(j.x), j.rep, acc))
+		}
+		return []float64{acc}, nil
+	})
 }
 
 // Fig12FaultThroughput reproduces Figure 12: maximum throughput (accepted
@@ -281,19 +322,8 @@ type fig12Job struct {
 // job — clone the topology, remove the links, rebuild routing, simulate —
 // with streams derived from its (network, pattern, faults, rep) coordinates,
 // so the report is byte-identical for any opts.Workers.
-func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
-	if opts.FaultSteps <= 0 {
-		opts.FaultSteps = 10
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+func Fig12FaultThroughput(opts FaultSweepOptions) (*Report, error) {
+	opts = opts.withDefaults()
 	sc := Scenarios(opts.Scale)[0]
 
 	cft, err := sc.CFT.Build()
@@ -304,67 +334,23 @@ func Fig12FaultThroughput(opts Fig12Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	nets := []netUnderTest{
-		{fmt.Sprintf("CFT-R%d", sc.CFT.Radix), cft, nil},
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), rfc, nil},
-	}
-
-	var jobs []fig12Job
-	for _, n := range nets {
-		wires := n.c.Wires()
-		step := wires * 13 / 100 / opts.FaultSteps
-		if step == 0 {
-			step = 1
-		}
-		for _, patName := range traffic.Names() {
-			for f := 0; f <= opts.FaultSteps; f++ {
-				for rep := 0; rep < opts.Reps; rep++ {
-					jobs = append(jobs, fig12Job{n, patName, f * step, rep})
-				}
+	nets := []*topology.Clos{cft, rfc}
+	names := []string{fmt.Sprintf("CFT-R%d", sc.CFT.Radix), fmt.Sprintf("RFC-R%d", sc.RFC.Radix)}
+	sset, err := faultSweep("fig12/", names, []int{cft.Wires(), rfc.Wires()}, traffic.Names(), opts,
+		func(j gridJob, faults int, stream *rng.Rand) (float64, error) {
+			faulty := nets[j.net].Clone()
+			faulty.RemoveRandomLinks(faults, stream)
+			ud := routing.New(faulty)
+			pat, err := traffic.New(j.pattern, faulty.Terminals(), stream)
+			if err != nil {
+				return 0, err
 			}
-		}
-	}
-	accepted, err := engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (float64, error) {
-		j := jobs[i]
-		stream := rng.At(opts.Seed, rng.StringCoord("fig12/"+j.net.name), rng.StringCoord(j.pattern),
-			uint64(j.faults), uint64(j.rep))
-		faulty := j.net.c.Clone()
-		RemoveRandomLinks(faulty, j.faults, stream)
-		ud := routing.New(faulty)
-		pat, err := traffic.New(j.pattern, faulty.Terminals(), stream)
-		if err != nil {
-			return 0, err
-		}
-		cfg := opts.Sim
-		cfg.Seed = stream.Uint64()
-		res := simnet.New(faulty, ud, pat, cfg).Run(1.0)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%s/%s faults=%d rep=%d accepted=%.3f",
-				j.net.name, j.pattern, j.faults, j.rep, res.AcceptedLoad))
-		}
-		return res.AcceptedLoad, nil
-	})
+			cfg := opts.Sim
+			cfg.Seed = stream.Uint64()
+			return simnet.New(faulty, ud, pat, cfg).Run(1.0).AcceptedLoad, nil
+		})
 	if err != nil {
 		return nil, err
-	}
-
-	// Merge per-job accepted loads into one collector per (network,
-	// pattern) group; the grid is jobs-ordered, so the block arithmetic
-	// mirrors the construction loop above.
-	per := (opts.FaultSteps + 1) * opts.Reps
-	groups := len(nets) * len(traffic.Names())
-	var sset seriesSet
-	cols := make([]*metrics.JobCollector, groups)
-	for g := 0; g < groups; g++ {
-		first := jobs[g*per]
-		cols[g] = sset.col(first.net.name + "/" + first.pattern)
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].Expect(float64(jobs[i].faults))
-		if opts.Shard.Owns(i) {
-			cols[g].Observe(float64(jobs[i].faults), i, accepted[i])
-		}
 	}
 	return sset.report("Figure 12: max throughput under link faults (equal-resources scenario)",
 		[]string{fmt.Sprintf("scale=%s; offered load 1.0; faults up to ~13%% of wires", opts.Scale)},

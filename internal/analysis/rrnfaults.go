@@ -3,41 +3,12 @@ package analysis
 import (
 	"fmt"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simdirect"
-	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// RRNFaultsOptions parameterises the direct-network fault-throughput
-// extension.
-type RRNFaultsOptions struct {
-	Scale      Scale
-	FaultSteps int // fault increments up to ~13% of each network's wires
-	Reps       int
-	Sim        simnet.Config // Table 2 parameters, shared by both simulators
-	// Workers sizes the worker pool the (network × pattern × fault step ×
-	// rep) grid fans out on; 0 means one per CPU.
-	Workers  int
-	Seed     uint64
-	Progress func(string)
-	// Shard restricts execution to the grid jobs this process owns;
-	// partial reports merge byte-identically (see engine.Shard).
-	Shard engine.Shard
-}
-
-// rrnFaultsJob is one (network, pattern, fault count, repetition) point.
-type rrnFaultsJob struct {
-	net     string
-	pattern string
-	faults  int
-	rep     int
-}
 
 // RRNFaults extends the Figure 12 fault methodology to the random baseline
 // the paper leaves unsimulated: maximum throughput (accepted load at offered
@@ -51,20 +22,8 @@ type rrnFaultsJob struct {
 // deadlock-freedom fragility §1/§6 attribute to direct random networks.
 // Every grid point is an independent job with streams derived from its
 // coordinates, so the report is byte-identical for any opts.Workers.
-func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
-	if opts.FaultSteps <= 0 {
-		opts.FaultSteps = 10
-	}
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Scale == "" {
-		opts.Scale = ScaleSmall
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	const rrnVCs = 16 // covers any small-network diameter, as in Jellyfish()
+func RRNFaults(opts FaultSweepOptions) (*Report, error) {
+	opts = opts.withDefaults()
 	sc := Scenarios(opts.Scale)[0]
 
 	rfc, _, err := buildRoutableRFC(sc.RFC, rng.At(opts.Seed, rng.StringCoord("rrnfaults/topology/RFC")))
@@ -77,92 +36,35 @@ func RRNFaults(opts RRNFaultsOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfcName := fmt.Sprintf("RFC-R%d", sc.RFC.Radix)
-	rrnName := fmt.Sprintf("RRN-R%d", spec.Radix())
-	wires := map[string]int{rfcName: rfc.Wires(), rrnName: rrn.Wires()}
-
-	patterns := []string{"uniform", "shift"}
-	var jobs []rrnFaultsJob
-	for _, name := range []string{rfcName, rrnName} {
-		step := wires[name] * 13 / 100 / opts.FaultSteps
-		if step == 0 {
-			step = 1
-		}
-		for _, pat := range patterns {
-			for f := 0; f <= opts.FaultSteps; f++ {
-				for rep := 0; rep < opts.Reps; rep++ {
-					jobs = append(jobs, rrnFaultsJob{name, pat, f * step, rep})
-				}
+	names := []string{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), fmt.Sprintf("RRN-R%d", spec.Radix())}
+	sset, err := faultSweep("rrnfaults/", names, []int{rfc.Wires(), rrn.Wires()}, []string{"uniform", "shift"}, opts,
+		func(j gridJob, faults int, stream *rng.Rand) (float64, error) {
+			var n netUnderTest
+			if j.net == 0 { // the RFC: up/down routing rebuilt around the faults
+				faulty := rfc.Clone()
+				faulty.RemoveRandomLinks(faults, stream)
+				n = netUnderTest{c: faulty, ud: routing.New(faulty)}
+			} else {
+				faulty := &topology.RRN{G: rrn.G.Clone(), Degree: rrn.Degree, TermsPerSwitch: rrn.TermsPerSwitch}
+				removeRandomGraphLinks(faulty.G, faults, stream)
+				n = netUnderTest{rrn: faulty}
 			}
-		}
-	}
-
-	pattern := func(name string, terms int) traffic.Pattern {
-		if name == "shift" {
-			return traffic.NewShift(terms, 0)
-		}
-		return traffic.NewUniform(terms)
-	}
-	accepted, err := engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (float64, error) {
-		j := jobs[i]
-		stream := rng.At(opts.Seed, rng.StringCoord("rrnfaults/"+j.net), rng.StringCoord(j.pattern),
-			uint64(j.faults), uint64(j.rep))
-		var acc float64
-		if j.net == rfcName {
-			faulty := rfc.Clone()
-			RemoveRandomLinks(faulty, j.faults, stream)
-			ud := routing.New(faulty)
 			cfg := opts.Sim
 			cfg.Seed = stream.Uint64()
-			acc = simnet.New(faulty, ud, pattern(j.pattern, faulty.Terminals()), cfg).Run(1.0).AcceptedLoad
-		} else {
-			faulty := &topology.RRN{G: rrn.G.Clone(), Degree: rrn.Degree, TermsPerSwitch: rrn.TermsPerSwitch}
-			removeRandomGraphLinks(faulty.G, j.faults, stream)
-			cfg := simdirect.Config{
-				VCs:            rrnVCs,
-				BufferPackets:  opts.Sim.BufferPackets,
-				PacketLength:   opts.Sim.PacketLength,
-				LinkLatency:    opts.Sim.LinkLatency,
-				WarmupCycles:   opts.Sim.WarmupCycles,
-				MeasureCycles:  opts.Sim.MeasureCycles,
-				SourceQueueCap: opts.Sim.SourceQueueCap,
-				Seed:           stream.Uint64(),
+			pat := traffic.Pattern(traffic.NewUniform(n.terminals()))
+			if j.pattern == "shift" {
+				pat = traffic.NewShift(n.terminals(), 0)
 			}
-			sim, err := simdirect.New(faulty, pattern(j.pattern, faulty.Terminals()), cfg)
+			res, err := simulate(n, pat, cfg, 1.0)
 			if err != nil {
 				// Disconnected, or diameter grew past the VC budget: the
 				// direct network cannot route deadlock-free any more.
-				acc = 0
-			} else {
-				acc = sim.Run(1.0).AcceptedLoad
+				return 0, nil
 			}
-		}
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%s/%s faults=%d rep=%d accepted=%.3f",
-				j.net, j.pattern, j.faults, j.rep, acc))
-		}
-		return acc, nil
-	})
+			return res.AcceptedLoad, nil
+		})
 	if err != nil {
 		return nil, err
-	}
-
-	// Merge per-job accepted loads into one collector per (network, pattern)
-	// group; the grid is jobs-ordered, mirroring the construction loop.
-	per := (opts.FaultSteps + 1) * opts.Reps
-	groups := 2 * len(patterns)
-	var sset seriesSet
-	cols := make([]*metrics.JobCollector, groups)
-	for g := 0; g < groups; g++ {
-		first := jobs[g*per]
-		cols[g] = sset.col(first.net + "/" + first.pattern)
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].Expect(float64(jobs[i].faults))
-		if opts.Shard.Owns(i) {
-			cols[g].Observe(float64(jobs[i].faults), i, accepted[i])
-		}
 	}
 	return sset.report("Extension: max throughput under link faults, RFC vs RRN (unified engine)",
 		[]string{

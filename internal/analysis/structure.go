@@ -9,7 +9,6 @@ import (
 	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
-	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -241,42 +240,19 @@ func Adversarial(opts AdversarialOptions) (*Report, error) {
 		},
 		Header: []string{"network", "accepted", "latency"},
 	}
-	rows := []struct {
-		name string
-		c    *topology.Clos
-		ud   *routing.UpDown
-		rrn  *topology.RRN
-	}{
-		{fmt.Sprintf("CFT-R%d", sc.CFT.Radix), cft, routing.New(cft), nil},
-		{fmt.Sprintf("RFC-R%d", sc.RFC.Radix), rfc, rud, nil},
-		{fmt.Sprintf("RRN-R%d", spec.Radix()), nil, nil, rrn},
+	rows := []netUnderTest{
+		{name: fmt.Sprintf("CFT-R%d", sc.CFT.Radix), c: cft, ud: routing.New(cft)},
+		{name: fmt.Sprintf("RFC-R%d", sc.RFC.Radix), c: rfc, ud: rud},
+		{name: fmt.Sprintf("RRN-R%d", spec.Radix()), rrn: rrn},
 	}
 	type outcome struct{ acc, lat float64 }
 	results, err := engine.RunShard(len(rows)*opts.Reps, opts.Workers, opts.Shard, func(i int) (outcome, error) {
 		row, repIdx := rows[i/opts.Reps], i%opts.Reps
 		stream := rng.At(opts.Seed, rng.StringCoord("adversarial/"+row.name), uint64(repIdx))
-		if row.rrn != nil {
-			cfg := simdirect.Config{
-				VCs:            16, // covers any small-network diameter
-				BufferPackets:  opts.Sim.BufferPackets,
-				PacketLength:   opts.Sim.PacketLength,
-				LinkLatency:    opts.Sim.LinkLatency,
-				WarmupCycles:   opts.Sim.WarmupCycles,
-				MeasureCycles:  opts.Sim.MeasureCycles,
-				SourceQueueCap: opts.Sim.SourceQueueCap,
-				Seed:           stream.Uint64(),
-			}
-			sim, err := simdirect.New(row.rrn, traffic.NewShift(row.rrn.Terminals(), 0), cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			res := sim.Run(1.0)
-			return outcome{res.AcceptedLoad, res.AvgLatency}, nil
-		}
 		cfg := opts.Sim
 		cfg.Seed = stream.Uint64()
-		res := simnet.New(row.c, row.ud, traffic.NewShift(row.c.Terminals(), 0), cfg).Run(1.0)
-		return outcome{res.AcceptedLoad, res.AvgLatency}, nil
+		res, err := simulate(row, traffic.NewShift(row.terminals(), 0), cfg, 1.0)
+		return outcome{res.AcceptedLoad, res.AvgLatency}, err
 	})
 	if err != nil {
 		return nil, err

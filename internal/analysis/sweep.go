@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"rfclos/internal/engine"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
+	"rfclos/internal/simdirect"
 	"rfclos/internal/simnet"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
@@ -58,98 +58,41 @@ func (o SimOptions) withDefaults() SimOptions {
 	return o
 }
 
-// netUnderTest couples a named network with its routing state.
+// rrnVCs is the hop-indexed VC budget of every simulated RRN: it covers any
+// small-network diameter.
+const rrnVCs = 16
+
+// netUnderTest is a named network on the cycle engine: a folded Clos with
+// its up/down routing state, or, when rrn is set, a random regular network.
 type netUnderTest struct {
 	name string
 	c    *topology.Clos
 	ud   *routing.UpDown
+	rrn  *topology.RRN
 }
 
-// simJob is one (network, pattern, load, repetition) simulation point of a
-// sweep grid. Jobs are independent: they read the shared topology and
-// routing state (immutable during a sweep) and derive all randomness from
-// their own coordinates, so the engine may run them in any order on any
-// number of workers.
-type simJob struct {
-	c       *topology.Clos
-	ud      *routing.UpDown
-	net     string
-	pattern string
-	load    float64
-	rep     int
+// terminals returns the network's terminal count.
+func (n netUnderTest) terminals() int {
+	if n.rrn != nil {
+		return n.rrn.Terminals()
+	}
+	return n.c.Terminals()
 }
 
-// simPoint is the measured outcome of one simJob.
-type simPoint struct{ lat, thr float64 }
-
-// stream returns the job's deterministic RNG, a pure function of the root
-// seed and the job coordinates (network name, pattern name, load, rep).
-// Using names rather than positional indices keeps a network/pattern's
-// streams stable under sweep-grid reshuffles, and makes a stand-alone
-// LoadSweep reproduce the corresponding slice of a ScenarioSweep.
-func (j simJob) stream(seed uint64) *rng.Rand {
-	return rng.At(seed, rng.StringCoord(j.net), rng.StringCoord(j.pattern),
-		math.Float64bits(j.load), uint64(j.rep))
-}
-
-// run executes the simulation for one job.
-func (j simJob) run(opts SimOptions) (simPoint, error) {
-	stream := j.stream(opts.Seed)
-	pat, err := traffic.New(j.pattern, j.c.Terminals(), stream)
+// simulate runs one cycle-engine point at the offered load: up/down routing
+// on a folded Clos, minimal routing with rrnVCs hop-indexed VCs on an RRN.
+// It fails only for an RRN that is disconnected or whose diameter exceeds
+// the VC budget.
+func simulate(n netUnderTest, pat traffic.Pattern, cfg simnet.Config, load float64) (simnet.Result, error) {
+	if n.rrn == nil {
+		return simnet.New(n.c, n.ud, pat, cfg).Run(load), nil
+	}
+	cfg.VCs = rrnVCs
+	sim, err := simdirect.New(n.rrn, pat, cfg)
 	if err != nil {
-		return simPoint{}, err
+		return simnet.Result{}, err
 	}
-	cfg := opts.Sim
-	cfg.Seed = stream.Uint64()
-	res := simnet.New(j.c, j.ud, pat, cfg).Run(j.load)
-	if opts.Progress != nil {
-		opts.Progress(fmt.Sprintf("%s/%s load=%.2f rep=%d accepted=%.3f latency=%.1f",
-			j.net, j.pattern, j.load, j.rep, res.AcceptedLoad, res.AvgLatency))
-	}
-	return simPoint{lat: res.AvgLatency, thr: res.AcceptedLoad}, nil
-}
-
-// runSimJobs fans the owned slice of a job grid out over the worker pool
-// and returns per-job results in job order (zero-valued where another shard
-// owns the job).
-func runSimJobs(jobs []simJob, opts SimOptions) ([]simPoint, error) {
-	return engine.RunShard(len(jobs), opts.Workers, opts.Shard, func(i int) (simPoint, error) {
-		return jobs[i].run(opts)
-	})
-}
-
-// loadRepJobs builds the (load × rep) grid for one network and pattern, in
-// the deterministic job order loads-major, reps-minor.
-func loadRepJobs(n netUnderTest, pattern string, opts SimOptions) []simJob {
-	jobs := make([]simJob, 0, len(opts.Loads)*opts.Reps)
-	for _, load := range opts.Loads {
-		for rep := 0; rep < opts.Reps; rep++ {
-			jobs = append(jobs, simJob{c: n.c, ud: n.ud, net: n.name, pattern: pattern, load: load, rep: rep})
-		}
-	}
-	return jobs
-}
-
-// LoadSweep measures latency and accepted throughput across offered loads
-// for one network and one traffic pattern. It returns one latency series
-// and one throughput series, each point averaged over opts.Reps runs with
-// distinct coordinate-derived seeds (and distinct pattern instances for the
-// fixed patterns). The (load × rep) grid runs on opts.Workers workers; the
-// returned series are identical for any worker count.
-func LoadSweep(c *topology.Clos, ud *routing.UpDown, netName, patName string, opts SimOptions) (lat, thr metrics.Series, err error) {
-	opts = opts.withDefaults()
-	jobs := loadRepJobs(netUnderTest{netName, c, ud}, patName, opts)
-	points, err := runSimJobs(jobs, opts)
-	if err != nil {
-		return metrics.Series{}, metrics.Series{}, err
-	}
-	var latC, thrC metrics.Collector
-	for i, p := range points {
-		latC.Add(jobs[i].load, p.lat)
-		thrC.Add(jobs[i].load, p.thr)
-	}
-	return latC.Series(netName + "/" + patName + "/latency"),
-		thrC.Series(netName + "/" + patName + "/throughput"), nil
+	return sim.Run(load), nil
 }
 
 // buildScenarioNets constructs a scenario's networks with per-network
@@ -160,69 +103,63 @@ func buildScenarioNets(sc Scenario, seed uint64) ([]netUnderTest, error) {
 		return nil, err
 	}
 	nets := []netUnderTest{{
-		fmt.Sprintf("CFT-%dL-R%d", sc.CFT.Levels, sc.CFT.Radix), cft, routing.New(cft)}}
+		name: fmt.Sprintf("CFT-%dL-R%d", sc.CFT.Levels, sc.CFT.Radix), c: cft, ud: routing.New(cft)}}
 	rfc, rud, err := buildRoutableRFC(sc.RFC, rng.At(seed, rng.StringCoord("scenario/topology/RFC")))
 	if err != nil {
 		return nil, err
 	}
 	nets = append(nets, netUnderTest{
-		fmt.Sprintf("RFC-%dL-R%d", sc.RFC.Levels, sc.RFC.Radix), rfc, rud})
+		name: fmt.Sprintf("RFC-%dL-R%d", sc.RFC.Levels, sc.RFC.Radix), c: rfc, ud: rud})
 	if sc.AltRFC != nil {
 		alt, aud, err := buildRoutableRFC(*sc.AltRFC, rng.At(seed, rng.StringCoord("scenario/topology/AltRFC")))
 		if err != nil {
 			return nil, err
 		}
 		nets = append(nets, netUnderTest{
-			fmt.Sprintf("RFC-%dL-R%d", sc.AltRFC.Levels, sc.AltRFC.Radix), alt, aud})
+			name: fmt.Sprintf("RFC-%dL-R%d", sc.AltRFC.Levels, sc.AltRFC.Radix), c: alt, ud: aud})
 	}
 	return nets, nil
 }
 
 // ScenarioSweep runs the full Figure 8/9/10 experiment for one scenario:
 // every network in the scenario × every traffic pattern × the load sweep,
-// flattened into one (network × pattern × load × rep) job grid on the
-// worker pool. Per-job seeds are derived from the job coordinates, so the
-// report is byte-identical for any opts.Workers.
+// as one (network × pattern × load × rep) job grid on the worker pool.
+// Per-job seeds are derived from the job coordinates, so the report is
+// byte-identical for any opts.Workers.
 func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	nets, err := buildScenarioNets(sc, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	var jobs []simJob
-	for _, n := range nets {
-		for _, pat := range opts.Patterns {
-			jobs = append(jobs, loadRepJobs(n, pat, opts)...)
-		}
+	names := make([]string, len(nets))
+	for i, n := range nets {
+		names[i] = n.name
 	}
-	points, err := runSimJobs(jobs, opts)
+	sset, err := seriesGrid{
+		nets: names, xs: func(int) []float64 { return opts.Loads }, xBits: math.Float64bits,
+		patterns: opts.Patterns, reps: opts.Reps, suffixes: []string{"/throughput", "/latency"},
+		seed: opts.Seed, workers: opts.Workers, shard: opts.Shard,
+	}.run(func(j gridJob, stream *rng.Rand) ([]float64, error) {
+		n := nets[j.net]
+		pat, err := traffic.New(j.pattern, n.terminals(), stream)
+		if err != nil {
+			return nil, err
+		}
+		cfg := opts.Sim
+		cfg.Seed = stream.Uint64()
+		res, err := simulate(n, pat, cfg, j.x)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Progress != nil {
+			opts.Progress(fmt.Sprintf("%s/%s load=%.2f rep=%d accepted=%.3f latency=%.1f",
+				n.name, j.pattern, j.x, j.rep, res.AcceptedLoad, res.AvgLatency))
+		}
+		return []float64{res.AcceptedLoad, res.AvgLatency}, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-
-	// Merge per-job results into one latency and one throughput collector
-	// per (network, pattern) group. Jobs are grid-ordered, so group g owns
-	// the contiguous block of len(Loads)*Reps jobs starting at g*per. Every
-	// job is Expected (fixing row structure and completeness counts) but
-	// only jobs this shard owns contribute observations.
-	per := len(opts.Loads) * opts.Reps
-	groups := len(nets) * len(opts.Patterns)
-	var sset seriesSet
-	type groupCols struct{ thr, lat *metrics.JobCollector }
-	cols := make([]groupCols, groups)
-	for g := 0; g < groups; g++ {
-		name := jobs[g*per].net + "/" + jobs[g*per].pattern
-		cols[g] = groupCols{thr: sset.col(name + "/throughput"), lat: sset.col(name + "/latency")}
-	}
-	for i := range jobs {
-		g := i / per
-		cols[g].thr.Expect(jobs[i].load)
-		cols[g].lat.Expect(jobs[i].load)
-		if opts.Shard.Owns(i) {
-			cols[g].thr.Observe(jobs[i].load, i, points[i].thr)
-			cols[g].lat.Observe(jobs[i].load, i, points[i].lat)
-		}
 	}
 	notes := []string{
 		fmt.Sprintf("scenario %s: CFT T=%d, RFC T=%d", sc.Name, sc.CFT.Terminals(), sc.RFC.Terminals()),

@@ -30,6 +30,15 @@ func applyCycles(measure, warmup *int, p Params) {
 	}
 }
 
+// faultSweepOptions maps the shared Params onto the fault-throughput
+// sweeps' options (fig12, rrnfaults).
+func faultSweepOptions(p Params) analysis.FaultSweepOptions {
+	opts := analysis.FaultSweepOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
+		Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
+	applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
+	return opts
+}
+
 // flowOptions maps the shared Params onto the flow backend's options.
 func flowOptions(p Params) analysis.FlowOptions {
 	return analysis.FlowOptions{
@@ -138,10 +147,7 @@ func init() {
 		ID: "fig12", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Figure 12: max throughput as links fail",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.Fig12Options{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Fig12FaultThroughput(opts)
+			return analysis.Fig12FaultThroughput(faultSweepOptions(p))
 		},
 	})
 	register(Exhibit{
@@ -192,10 +198,7 @@ func init() {
 		ID: "rrnfaults", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Extension: throughput under faults, RFC vs RRN",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.RRNFaultsOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.RRNFaults(opts)
+			return analysis.RRNFaults(faultSweepOptions(p))
 		},
 	})
 	register(Exhibit{

@@ -132,7 +132,7 @@ func TestSimcoreOrderingAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simdirect.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 5, VCs: 8}
+	cfg := simnet.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 5, VCs: 8}
 	sim, err := simdirect.New(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,10 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"rfclos/internal/engine"
 	"rfclos/internal/rng"
@@ -93,6 +95,9 @@ func Solve(n Network, m []traffic.Demand, opts Options) (*Result, error) {
 		if int(m[i].Src) >= t || int(m[i].Dst) >= t || m[i].Src < 0 || m[i].Dst < 0 {
 			return nil, fmt.Errorf("flow: demand %d endpoints (%d,%d) outside %d terminals",
 				i, m[i].Src, m[i].Dst, t)
+		}
+		if r := m[i].Rate; math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("flow: demand %d rate %v is not finite", i, r)
 		}
 	}
 	// Phase 1 (parallel): resolve each flow to its directed link list.
@@ -164,17 +169,19 @@ func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
 			active = append(active, int32(l))
 		}
 	}
-	// Routed flows sorted by demand (counting on float64 keys via a simple
-	// index sort would allocate; demands repeat heavily, so an insertion
-	// into buckets is overkill — use a plain index slice + sort-free scan
-	// replaced by: order flows by demand with a deterministic sort).
+	// Routed flows in ascending demand, index-ordered among equal demands.
 	order := make([]int32, 0, len(m))
 	for i, p := range paths {
 		if p != nil && m[i].Rate > 0 {
 			order = append(order, int32(i))
 		}
 	}
-	sortByDemand(order, m)
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(m[a].Rate, m[b].Rate); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	frozen := make([]bool, len(m))
 	unfrozen := len(order)
 	water := 0.0
@@ -283,39 +290,4 @@ func waterfill(paths [][]int32, m []traffic.Demand, nLinks int) *Result {
 		res.MinRate = 0
 	}
 	return res
-}
-
-// sortByDemand orders flow indices by ascending demand, index-stable for
-// equal demands, with an explicit merge sort (no reflection, no
-// allocation surprises; determinism is the point).
-func sortByDemand(order []int32, m []traffic.Demand) {
-	if len(order) < 2 {
-		return
-	}
-	buf := make([]int32, len(order))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			a, b := order[i], order[j]
-			if m[a].Rate < m[b].Rate || (m[a].Rate == m[b].Rate && a <= b) {
-				buf[k] = a
-				i++
-			} else {
-				buf[k] = b
-				j++
-			}
-			k++
-		}
-		copy(buf[k:], order[i:mid])
-		copy(buf[k+mid-i:hi], order[j:hi])
-		copy(order[lo:hi], buf[lo:hi])
-	}
-	rec(0, len(order))
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rfclos/internal/core"
@@ -60,6 +61,26 @@ func TestWaterfillDemandCap(t *testing.T) {
 	}
 	if !near(res.Rates[0], 0.3) || !near(res.Rates[1], 0.7) {
 		t.Fatalf("demand-capped flow should release bandwidth: got %v, want [0.3 0.7]", res.Rates)
+	}
+}
+
+// TestSolveRejectsInvalidDemands checks that Solve refuses, with an error
+// naming the demand, endpoints outside the network and rates that are NaN
+// or infinite (the demand sort needs a total order on rates).
+func TestSolveRejectsInvalidDemands(t *testing.T) {
+	net := &stubNet{t: 4, links: 10, paths: map[[2]int32][]int32{{0, 1}: {0, 5, 7}}}
+	for _, bad := range []traffic.Demand{
+		{Src: 0, Dst: 4, Rate: 1},
+		{Src: -1, Dst: 1, Rate: 1},
+		{Src: 0, Dst: 1, Rate: math.NaN()},
+		{Src: 0, Dst: 1, Rate: math.Inf(1)},
+		{Src: 0, Dst: 1, Rate: math.Inf(-1)},
+	} {
+		m := []traffic.Demand{{Src: 0, Dst: 1, Rate: 0.5}, bad}
+		if _, err := Solve(net, m, Options{Seed: 1, Workers: 1}); err == nil ||
+			!strings.Contains(err.Error(), "demand 1 ") {
+			t.Errorf("Solve accepted demand %+v (err %v)", bad, err)
+		}
 	}
 }
 

@@ -3,26 +3,23 @@ package flow
 import (
 	"fmt"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/rng"
 	"rfclos/internal/topology"
 )
 
 // RRNNetwork routes matrix flows over a random regular network along random
-// ECMP-shortest paths. Construction precomputes one BFS distance row per
-// switch (in parallel; rows are independent, so the table is deterministic
-// for any worker count), and Resolve walks greedily from the source switch,
-// choosing uniformly among neighbours one hop closer to the destination.
+// ECMP-shortest paths. Construction precomputes the minimal-routing table
+// the cycle engine's direct-network router also uses (topology.MinimalRoutes:
+// one BFS distance row per switch, built in parallel), and Resolve walks
+// greedily from the source switch, choosing uniformly among neighbours one
+// hop closer to the destination.
 //
 // Directed link ids mirror ClosNetwork: [0, T) injection, [T, 2T) ejection,
 // then one id per (switch, adjacency slot) — each direction of a wire is
 // separate capacity.
 type RRNNetwork struct {
-	r *topology.RRN
-	// dist[d] is the hop-distance row to destination switch d; rows are
-	// uint8 (RRN diameters are tiny) to keep the n×n table affordable at
-	// 10× paper scale.
-	dist [][]uint8
+	r      *topology.RRN
+	routes *topology.MinimalRoutes
 	// adjStart is the per-switch prefix sum of degree.
 	adjStart []int32
 	termBase int32
@@ -32,28 +29,17 @@ type RRNNetwork struct {
 // NewRRN builds the adapter, running the per-destination BFS sweep on up to
 // `workers` goroutines (0 = one per CPU).
 func NewRRN(r *topology.RRN, workers int) (*RRNNetwork, error) {
+	routes, err := topology.NewMinimalRoutes(r, workers)
+	if err != nil {
+		return nil, fmt.Errorf("flow: %w", err)
+	}
 	n := r.N()
-	net := &RRNNetwork{r: r, adjStart: make([]int32, n+1)}
+	net := &RRNNetwork{r: r, routes: routes, adjStart: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
 		net.adjStart[v+1] = net.adjStart[v] + int32(len(r.G.Neighbors(v)))
 	}
 	net.termBase = int32(r.Terminals())
 	net.links = int(2*net.termBase + net.adjStart[n])
-	rows, err := engine.Run(n, workers, func(d int) ([]uint8, error) {
-		dist := r.G.BFS(d, nil)
-		row := make([]uint8, n)
-		for v, dv := range dist {
-			if dv < 0 || dv > 255 {
-				return nil, fmt.Errorf("flow: RRN switch %d unreachable from %d (distance %d)", v, d, dv)
-			}
-			row[v] = uint8(dv)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	net.dist = rows
 	return net, nil
 }
 
@@ -71,25 +57,13 @@ func (n *RRNNetwork) Resolve(src, dst int32, r *rng.Rand, buf []int32) ([]int32,
 	}
 	tps := int32(n.r.TermsPerSwitch)
 	v, dsw := src/tps, dst/tps
-	row := n.dist[dsw]
 	for v != dsw {
-		want := row[v] - 1
-		// Reservoir-sample uniformly among neighbours one hop closer.
-		adj := n.r.G.Neighbors(int(v))
-		port, count := -1, 0
-		for i, w := range adj {
-			if row[w] == want {
-				count++
-				if count == 1 || r.Intn(count) == 0 {
-					port = i
-				}
-			}
-		}
+		port := n.routes.NextHop(v, dsw, r)
 		if port < 0 {
 			return nil, false
 		}
 		buf = append(buf, 2*n.termBase+n.adjStart[v]+int32(port))
-		v = adj[port]
+		v = n.r.G.Neighbors(int(v))[port]
 	}
 	return append(buf, n.termBase+dst), true
 }

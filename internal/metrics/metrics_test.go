@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -80,19 +79,5 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if m := a.Mean(); math.Abs(m-505) > 1e-9 {
 		t.Errorf("merged mean = %v", m)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := Series{Name: "cft-uniform"}
-	s.Add(0.5, 0.49, 0.01)
-	s.Add(0.1, 0.1, 0)
-	s.Sort()
-	if s.Points[0].X != 0.1 {
-		t.Error("sort failed")
-	}
-	out := s.Format()
-	if !strings.Contains(out, "cft-uniform") || len(strings.Split(strings.TrimSpace(out), "\n")) != 2 {
-		t.Errorf("format output unexpected: %q", out)
 	}
 }

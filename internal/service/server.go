@@ -316,40 +316,48 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := PathResponse{Key: t.Key, Src: src, Dst: dst, Seed: seed}
+	res, err := resolvePair(t, src, dst, seed)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, PathResponse{Key: t.Key, Src: src, Dst: dst, MinTurn: res.MinTurn,
+		Routable: res.Routable, Hops: res.Hops, Path: res.Path, Seed: seed})
+}
+
+// pathCoord labels the per-pair path streams: pair (src, dst) draws from
+// rng.At(seed, pathCoord, src, dst), so GET /v1/path and every element of
+// a POST /v1/paths batch agree byte for byte.
+var pathCoord = rng.StringCoord("rfcd/path")
+
+// resolvePair answers one src/dst pair on t: a BFS shortest path between
+// switch ids for rrn; for folded Clos kinds, the pair's turn level from the
+// cover sets and a random shortest up/down path between leaf indices drawn
+// from the pair's stream. It fails when src or dst is out of range.
+func resolvePair(t *Topology, src, dst int, seed uint64) (PathResult, error) {
+	res := PathResult{Src: src, Dst: dst}
 	if t.RRN != nil {
 		if src < 0 || src >= t.RRN.N() || dst < 0 || dst >= t.RRN.N() {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("src/dst must be switch ids in [0, %d)", t.RRN.N()))
-			return
+			return res, fmt.Errorf("src/dst must be switch ids in [0, %d)", t.RRN.N())
 		}
-		path := t.RRN.G.ShortestPath(src, dst)
-		resp.Routable = path != nil
-		if path != nil {
-			resp.Path = path
-			resp.Hops = len(path) - 1
+		res.Path = t.RRN.G.ShortestPath(src, dst)
+		res.Routable = res.Path != nil
+	} else {
+		n1 := t.Clos.LevelSize(1)
+		if src < 0 || src >= n1 || dst < 0 || dst >= n1 {
+			return res, fmt.Errorf("src/dst must be leaf-switch indices in [0, %d)", n1)
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		turn := t.Router.MinTurn(src, dst)
+		res.MinTurn = &turn
+		res.Routable = turn >= 0
+		if res.Routable {
+			res.Path = t.Router.PathAt(src, dst, turn, rng.At(seed, pathCoord, uint64(src), uint64(dst)))
+		}
 	}
-	n1 := t.Clos.LevelSize(1)
-	if src < 0 || src >= n1 || dst < 0 || dst >= n1 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("src/dst must be leaf-switch indices in [0, %d)", n1))
-		return
+	if res.Routable {
+		res.Hops = len(res.Path) - 1
 	}
-	// Turn level from the cover sets, then the random shortest up/down path
-	// from the query seed.
-	turn := t.Router.MinTurn(src, dst)
-	resp.MinTurn = &turn
-	resp.Routable = turn >= 0
-	if turn >= 0 {
-		stream := rng.At(seed, rng.StringCoord("rfcd/path"), uint64(src), uint64(dst))
-		path := t.Router.PathAt(src, dst, turn, stream)
-		resp.Path = path
-		resp.Hops = len(path) - 1
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return res, nil
 }
 
 // maxPathsPerRequest bounds one POST /v1/paths batch so a single request
@@ -417,44 +425,11 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		Count: len(req.Pairs),
 		Paths: make([]PathResult, 0, len(req.Pairs)),
 	}
-	if t.RRN != nil {
-		for _, pair := range req.Pairs {
-			src, dst := pair[0], pair[1]
-			if src < 0 || src >= t.RRN.N() || dst < 0 || dst >= t.RRN.N() {
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("pair (%d,%d): src/dst must be switch ids in [0, %d)", src, dst, t.RRN.N()))
-				return
-			}
-			res := PathResult{Src: src, Dst: dst}
-			if path := t.RRN.G.ShortestPath(src, dst); path != nil {
-				res.Routable = true
-				res.Path = path
-				res.Hops = len(path) - 1
-			}
-			resp.Paths = append(resp.Paths, res)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	n1 := t.Clos.LevelSize(1)
 	for _, pair := range req.Pairs {
-		src, dst := pair[0], pair[1]
-		if src < 0 || src >= n1 || dst < 0 || dst >= n1 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("pair (%d,%d): src/dst must be leaf-switch indices in [0, %d)", src, dst, n1))
+		res, err := resolvePair(t, pair[0], pair[1], req.Seed)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("pair (%d,%d): %v", pair[0], pair[1], err))
 			return
-		}
-		turn := t.Router.MinTurn(src, dst)
-		res := PathResult{Src: src, Dst: dst, Routable: turn >= 0}
-		mt := turn
-		res.MinTurn = &mt
-		if turn >= 0 {
-			// The same per-pair stream GET /v1/path derives, so batch and
-			// single-path responses agree byte for byte.
-			stream := rng.At(req.Seed, rng.StringCoord("rfcd/path"), uint64(src), uint64(dst))
-			path := t.Router.PathAt(src, dst, turn, stream)
-			res.Path = path
-			res.Hops = len(path) - 1
 		}
 		resp.Paths = append(resp.Paths, res)
 	}
@@ -723,15 +698,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	faulty := t.Clos.Clone()
-	links := faulty.Links()
-	stream.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	if k > len(links) {
-		k = len(links)
-	}
-	for _, l := range links[:k] {
-		faulty.RemoveLink(l.A, l.B)
-	}
-	resp.LinksRemoved = k
+	resp.LinksRemoved = len(faulty.RemoveRandomLinks(k, stream))
 	resp.Connected = faulty.SwitchGraph().IsConnected()
 	ud := routing.New(faulty)
 	resp.UnroutablePairs = ud.UnroutablePairs(0)

@@ -1,9 +1,10 @@
 package simcore
 
 // Config carries the Table 2 simulation parameters shared by every network
-// class. It is the single defaulting path for the engine: simnet exposes it
-// directly and simdirect maps its narrower Config onto it, so both classes
-// run under byte-identical switch and link models.
+// class. It is the single configuration and defaulting path for the engine:
+// simnet and simdirect both take it directly (simdirect only pins
+// RequestRefresh to 1), so both classes run under byte-identical switch and
+// link models.
 type Config struct {
 	// VCs is the number of virtual channels per link (Table 2: 4).
 	VCs int

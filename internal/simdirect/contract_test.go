@@ -24,7 +24,7 @@ func TestMinimalRouterContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{VCs: 16, WarmupCycles: 10, MeasureCycles: 10}
+	cfg := simcore.Config{VCs: 16, WarmupCycles: 10, MeasureCycles: 10}
 	sim, err := New(rrn, traffic.NewUniform(rrn.Terminals()), cfg)
 	if err != nil {
 		t.Fatal(err)

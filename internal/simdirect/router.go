@@ -11,32 +11,19 @@ import (
 // (shortest-path ECMP) port selection with hop-indexed VCs. Packet state is
 // the hop count, doubling as the VC index.
 type minimalRouter struct {
-	g    *topology.RRN
-	dist [][]int32 // all-pairs hop distances
-	tps  int32
+	routes *topology.MinimalRoutes
+	tps    int32
 }
 
 // MinimalRouter builds the shortest-path ECMP policy for the unified engine,
 // computing all-pairs distance tables. It returns the network diameter so
 // callers can size the VC count; it fails when the graph is disconnected.
 func MinimalRouter(rrn *topology.RRN) (simcore.Router, int, error) {
-	g := rrn.G
-	n := g.N()
-	r := &minimalRouter{g: rrn, tps: int32(rrn.TermsPerSwitch)}
-	r.dist = make([][]int32, n)
-	diameter := 0
-	for v := 0; v < n; v++ {
-		r.dist[v] = g.BFS(v, nil)
-		for _, d := range r.dist[v] {
-			if d < 0 {
-				return nil, 0, fmt.Errorf("simdirect: network disconnected")
-			}
-			if int(d) > diameter {
-				diameter = int(d)
-			}
-		}
+	routes, err := topology.NewMinimalRoutes(rrn, 1)
+	if err != nil {
+		return nil, 0, fmt.Errorf("simdirect: %w", err)
 	}
-	return r, diameter, nil
+	return &minimalRouter{routes: routes, tps: int32(rrn.TermsPerSwitch)}, routes.Diameter, nil
 }
 
 // NewPacket starts every packet at hop 0; a connected network (checked at
@@ -50,21 +37,11 @@ func (r *minimalRouter) Route(e *simcore.Engine, sw int32, p *simcore.Packet) in
 	if dstSwitch == sw {
 		return simcore.Eject
 	}
-	dd := r.dist[dstSwitch]
-	want := dd[sw] - 1
-	chosen, count := -1, 0
-	for i, v := range r.g.G.Neighbors(int(sw)) {
-		if dd[v] == want {
-			count++
-			if count == 1 || e.Rand().Intn(count) == 0 {
-				chosen = i
-			}
-		}
-	}
-	if chosen < 0 {
+	port := r.routes.NextHop(sw, dstSwitch, e.Rand())
+	if port < 0 {
 		return simcore.NoRoute
 	}
-	return int16(chosen)
+	return int16(port)
 }
 
 // HasCredit checks the packet's single eligible VC: hop-indexed deadlock

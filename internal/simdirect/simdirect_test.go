@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rfclos/internal/rng"
+	"rfclos/internal/simcore"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
@@ -17,8 +18,8 @@ func buildRRN(t *testing.T, n, d, tps int) *topology.RRN {
 	return rrn
 }
 
-func testConfig() Config {
-	return Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
+func testConfig() simcore.Config {
+	return simcore.Config{WarmupCycles: 500, MeasureCycles: 2000, Seed: 5, VCs: 8}
 }
 
 func checkConservation(t *testing.T, r Result) {

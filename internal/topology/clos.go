@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"rfclos/internal/graph"
+	"rfclos/internal/rng"
 )
 
 // Clos is an l-level folded Clos network per Definition 3.1 of the paper:
@@ -219,6 +220,18 @@ func (c *Clos) Links() []Link {
 		out = append(out, l)
 	}
 	return out
+}
+
+// RemoveRandomLinks deletes min(n, Wires()) uniformly random links, drawn by
+// one shuffle of Links() from r, and returns the removed links.
+func (c *Clos) RemoveRandomLinks(n int, r *rng.Rand) []Link {
+	links := c.Links()
+	r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	links = links[:min(n, len(links))]
+	for _, l := range links {
+		c.RemoveLink(l.A, l.B)
+	}
+	return links
 }
 
 // Wires returns the number of inter-switch links (network wires, excluding

@@ -350,3 +350,65 @@ func TestValidateCatchesBadWiring(t *testing.T) {
 		t.Error("expected validation failure for parallel links")
 	}
 }
+
+func TestRemoveRandomLinks(t *testing.T) {
+	c, err := NewCFT(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Wires()
+	removed := c.RemoveRandomLinks(3, rng.New(5))
+	if len(removed) != 3 || c.Wires() != before-3 {
+		t.Errorf("removed %d links, wires %d -> %d", len(removed), before, c.Wires())
+	}
+	// Removing more than exist clamps.
+	c2, _ := NewCFT(4, 2)
+	if got := c2.RemoveRandomLinks(10000, rng.New(6)); len(got) != before {
+		t.Errorf("clamped removal = %d, want %d", len(got), before)
+	}
+}
+
+// TestMinimalRoutes checks the shared minimal-routing table: its diameter
+// is the graph's, it is identical for any worker count, and every sampled
+// next hop is one hop closer to the destination.
+func TestMinimalRoutes(t *testing.T) {
+	r, err := NewRRN(48, 4, 2, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewMinimalRoutes(r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := NewMinimalRoutes(r, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Diameter != r.Diameter() || parallel.Diameter != serial.Diameter {
+		t.Errorf("diameter %d (serial) / %d (parallel), graph says %d",
+			serial.Diameter, parallel.Diameter, r.Diameter())
+	}
+	rnd := rng.New(12)
+	for dst := int32(0); dst < int32(r.N()); dst++ {
+		dist := r.G.BFS(int(dst), nil)
+		if serial.NextHop(dst, dst, rnd) != -1 {
+			t.Fatalf("NextHop(%d, %d) at the destination != -1", dst, dst)
+		}
+		for v := int32(0); v < int32(r.N()); v++ {
+			if v == dst {
+				continue
+			}
+			port := serial.NextHop(v, dst, rnd)
+			if port < 0 || dist[r.G.Neighbors(int(v))[port]] != dist[v]-1 {
+				t.Fatalf("NextHop(%d, %d) = %d is not a shortest next hop", v, dst, port)
+			}
+		}
+	}
+	// Isolating switch 0 disconnects the graph, which is rejected.
+	for _, w := range append([]int32(nil), r.G.Neighbors(0)...) {
+		r.G.RemoveEdge(0, int(w))
+	}
+	if _, err := NewMinimalRoutes(r, 1); err == nil {
+		t.Error("disconnected RRN accepted")
+	}
+}

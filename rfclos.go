@@ -200,12 +200,13 @@ func Fig11UpDownFaults(opts analysis.Fig11Options) (*Report, error) {
 type Fig11Options = analysis.Fig11Options
 
 // Fig12FaultThroughput regenerates Figure 12 (throughput under faults).
-func Fig12FaultThroughput(opts analysis.Fig12Options) (*Report, error) {
+func Fig12FaultThroughput(opts analysis.FaultSweepOptions) (*Report, error) {
 	return analysis.Fig12FaultThroughput(opts)
 }
 
-// Fig12Options configures Fig12FaultThroughput.
-type Fig12Options = analysis.Fig12Options
+// FaultSweepOptions configures the fault-throughput sweeps
+// Fig12FaultThroughput and RRNFaults.
+type FaultSweepOptions = analysis.FaultSweepOptions
 
 // Table3Disconnect regenerates Table 3 (links removed to disconnect).
 func Table3Disconnect(opts analysis.Table3Options) (*Report, error) {
@@ -256,10 +257,7 @@ type JellyfishOptions = analysis.JellyfishOptions
 // RRNFaults extends the Figure 12 fault methodology to the random baseline:
 // RFC vs equal-T RRN throughput under growing link faults, for uniform and
 // adversarial shift traffic, both on the unified cycle engine.
-func RRNFaults(opts analysis.RRNFaultsOptions) (*Report, error) { return analysis.RRNFaults(opts) }
-
-// RRNFaultsOptions configures RRNFaults.
-type RRNFaultsOptions = analysis.RRNFaultsOptions
+func RRNFaults(opts analysis.FaultSweepOptions) (*Report, error) { return analysis.RRNFaults(opts) }
 
 // GeneralParams describes an arbitrary (non-radix-regular) folded Clos
 // shape per Definition 4.1.
