@@ -45,12 +45,11 @@ func BenchmarkFig7Expandability(b *testing.B) {
 // produce identical reports; only wall-clock differs.
 func benchSweep(b *testing.B, scenario, workers int) {
 	b.Helper()
-	opts := SimOptions{
-		Loads:   []float64{0.4, 0.6},
-		Reps:    2,
-		Sim:     simnet.Config{WarmupCycles: 200, MeasureCycles: 600},
-		Seed:    uint64(scenario + 1),
-		Workers: workers,
+	opts := SweepOptions{
+		Loads: []float64{0.4, 0.6},
+		Reps:  2,
+		Sim:   simnet.Config{WarmupCycles: 200, MeasureCycles: 600},
+		Run:   Run{Seed: uint64(scenario + 1), Workers: workers},
 	}
 	opts.Patterns = []string{"uniform"}
 	for i := 0; i < b.N; i++ {
@@ -72,7 +71,7 @@ func BenchmarkFig10Scenario200K(b *testing.B)        { benchSweep(b, 2, 1) }
 
 func BenchmarkFig11UpDownFaults(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 80, Seed: 3})
+		rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 80, Run: Run{Seed: 3}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func BenchmarkFig12FaultThroughput(b *testing.B) {
 			FaultSteps: 2,
 			Reps:       1,
 			Sim:        simnet.Config{WarmupCycles: 150, MeasureCycles: 400},
-			Seed:       5,
+			Run:        Run{Seed: 5},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -102,7 +101,7 @@ func BenchmarkFig12FaultThroughput(b *testing.B) {
 
 func BenchmarkTable3Disconnect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 10, Seed: 7})
+		rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 10, Run: Run{Seed: 7}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func BenchmarkTable3Disconnect(b *testing.B) {
 
 func BenchmarkThm42MonteCarlo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Thm42(120, 20, 0, 9)
+		rep, err := Thm42(Thm42Options{N1: 120, Trials: 20, Run: Run{Seed: 9}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +129,7 @@ func BenchmarkAblations(b *testing.B) {
 			Scale: ScaleSmall,
 			Reps:  1,
 			Sim:   simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-			Seed:  11,
+			Run:   Run{Seed: 11},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -147,7 +146,7 @@ func BenchmarkJellyfishComparison(b *testing.B) {
 			Loads: []float64{0.5},
 			Reps:  1,
 			Sim:   simnet.Config{WarmupCycles: 100, MeasureCycles: 300},
-			Seed:  13,
+			Run:   Run{Seed: 13},
 		})
 		if err != nil {
 			b.Fatal(err)

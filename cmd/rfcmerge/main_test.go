@@ -25,7 +25,7 @@ func writeReport(t *testing.T, dir, name string, rep *analysis.Report) string {
 func table3(t *testing.T, sh engine.Shard) *analysis.Report {
 	t.Helper()
 	rep, err := analysis.Table3Disconnect(analysis.Table3Options{
-		Targets: []int{256}, Trials: 4, Seed: 11, Shard: sh,
+		Targets: []int{256}, Trials: 4, Run: analysis.Run{Seed: 11, Shard: sh},
 	})
 	if err != nil {
 		t.Fatal(err)

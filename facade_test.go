@@ -16,35 +16,35 @@ func TestFacadeSmoke(t *testing.T) {
 	if _, err := NewGeneralRFC(NewHashnetParams(8, 3, 4, 4), 1); err != nil {
 		t.Errorf("NewGeneralRFC: %v", err)
 	}
-	if rep, err := Thm42(60, 10, 0, 1); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Thm42(Thm42Options{N1: 60, Trials: 10, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Thm42: %v", err)
 	}
-	if rep, err := Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 5, Seed: 1}); err != nil || len(rep.Rows) != 1 {
+	if rep, err := Table3Disconnect(Table3Options{Targets: []int{256}, Trials: 5, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) != 1 {
 		t.Errorf("Table3Disconnect: %v", err)
 	}
-	if rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 1, MaxLeavesCap: 40, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 1, MaxLeavesCap: 40, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Fig11UpDownFaults: %v", err)
 	}
-	if rep, err := Fig12FaultThroughput(FaultSweepOptions{FaultSteps: 1, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Fig12FaultThroughput(FaultSweepOptions{FaultSteps: 1, Reps: 1, Sim: quick, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Fig12FaultThroughput: %v", err)
 	}
-	opts := SimOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Patterns: []string{"uniform"}, Seed: 1}
+	opts := SweepOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Patterns: []string{"uniform"}, Run: Run{Seed: 1}}
 	if rep, err := ScenarioSweep(ScaleSmall, 0, opts); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("ScenarioSweep: %v", err)
 	}
-	if rep, err := Ablations(AblationOptions{Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Ablations(AblationOptions{Reps: 1, Sim: quick, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Ablations: %v", err)
 	}
 	if rep, err := Structure(StructureOptions{Target: 128, PairSamples: 16, Seed: 1}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Structure: %v", err)
 	}
-	if rep, err := Adversarial(AdversarialOptions{Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Adversarial(AdversarialOptions{Reps: 1, Sim: quick, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Adversarial: %v", err)
 	}
 	if rep, err := TablesReport(ScaleSmall, 2, 1); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("TablesReport: %v", err)
 	}
-	if rep, err := Jellyfish(JellyfishOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Seed: 1}); err != nil || len(rep.Rows) == 0 {
+	if rep, err := Jellyfish(JellyfishOptions{Loads: []float64{0.3}, Reps: 1, Sim: quick, Run: Run{Seed: 1}}); err != nil || len(rep.Rows) == 0 {
 		t.Errorf("Jellyfish: %v", err)
 	}
 	if steps, err := PlanExpansion(16, 3, 1024, 2048, 5); err != nil || len(steps) == 0 {

@@ -12,7 +12,7 @@ func TestAblations(t *testing.T) {
 		Load:  0.9,
 		Reps:  1,
 		Sim:   simnet.Config{WarmupCycles: 200, MeasureCycles: 600},
-		Seed:  21,
+		Run:   Run{Seed: 21},
 	})
 	if err != nil {
 		t.Fatal(err)

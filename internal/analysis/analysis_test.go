@@ -42,9 +42,19 @@ func TestFaultsToDisconnectKnownGraphs(t *testing.T) {
 	if got := FaultsToDisconnect(k5, r); got < 4 {
 		t.Errorf("K5 disconnected after %d removals, want >= 4", got)
 	}
-	if avg := AverageFaultsToDisconnect(cyc, 20, r); avg != 2.0/8.0 {
+	if avg := meanFraction(20, cyc.M(), func() int { return FaultsToDisconnect(cyc, r) }); avg != 2.0/8.0 {
 		t.Errorf("average fraction = %v, want 0.25", avg)
 	}
+}
+
+// meanFraction averages trials calls of count, made in sequence, as a
+// fraction of total.
+func meanFraction(trials, total int, count func() int) float64 {
+	sum := 0.0
+	for i := 0; i < trials; i++ {
+		sum += float64(count())
+	}
+	return sum / float64(trials) / float64(total)
 }
 
 func TestUpDownFaultToleranceOFTIsZero(t *testing.T) {
@@ -71,7 +81,7 @@ func TestUpDownFaultToleranceCFTPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(3)
-	tol := AverageUpDownFaultTolerance(c, 3, r)
+	tol := meanFraction(3, c.Wires(), func() int { return FaultsUntilUpDownLost(c, r) })
 	if tol <= 0 || tol >= 1 {
 		t.Errorf("CFT tolerance = %v, want in (0,1)", tol)
 	}
@@ -90,8 +100,8 @@ func TestRFCToleratesMoreThanCFTAtEqualRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cftTol := AverageUpDownFaultTolerance(cft, 4, r)
-	rfcTol := AverageUpDownFaultTolerance(rfc, 4, r)
+	cftTol := meanFraction(4, cft.Wires(), func() int { return FaultsUntilUpDownLost(cft, r) })
+	rfcTol := meanFraction(4, rfc.Wires(), func() int { return FaultsUntilUpDownLost(rfc, r) })
 	if rfcTol <= cftTol {
 		t.Errorf("RFC tolerance %v not above CFT tolerance %v", rfcTol, cftTol)
 	}
@@ -199,7 +209,7 @@ func TestCostsReport(t *testing.T) {
 }
 
 func TestThm42Report(t *testing.T) {
-	rep, err := Thm42(120, 30, 0, 9)
+	rep, err := Thm42(Thm42Options{N1: 120, Trials: 30, Run: Run{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +235,7 @@ func TestThm42Report(t *testing.T) {
 }
 
 func TestTable3Small(t *testing.T) {
-	rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 15, Seed: 3})
+	rep, err := Table3Disconnect(Table3Options{Targets: []int{512, 1024}, Trials: 15, Run: Run{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +263,7 @@ func TestTable3Small(t *testing.T) {
 }
 
 func TestFig11Small(t *testing.T) {
-	rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 60, Seed: 5})
+	rep, err := Fig11UpDownFaults(Fig11Options{Radix: 8, Trials: 2, MaxLeavesCap: 60, Run: Run{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +291,11 @@ func TestScenarioSweepTiny(t *testing.T) {
 		CFT:  CFTSpec{Radix: 8, Levels: 3, TermsPerLeaf: 4},
 		RFC:  core.Params{Radix: 8, Levels: 3, Leaves: 32},
 	}
-	opts := SimOptions{
+	opts := SweepOptions{
 		Loads: []float64{0.2, 0.6},
 		Reps:  1,
 		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1000},
-		Seed:  11,
+		Run:   Run{Seed: 11},
 	}
 	rep, err := ScenarioSweep(sc, opts)
 	if err != nil {
@@ -311,7 +321,7 @@ func TestFig12Tiny(t *testing.T) {
 		FaultSteps: 2,
 		Reps:       1,
 		Sim:        simnet.Config{WarmupCycles: 200, MeasureCycles: 500},
-		Seed:       13,
+		Run:        Run{Seed: 13},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +343,7 @@ func TestRRNFaultsTiny(t *testing.T) {
 		FaultSteps: 2,
 		Reps:       1,
 		Sim:        simnet.Config{WarmupCycles: 200, MeasureCycles: 500},
-		Seed:       13,
+		Run:        Run{Seed: 13},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"rfclos/internal/engine"
 	"rfclos/internal/graph"
-	"rfclos/internal/metrics"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
@@ -30,52 +28,6 @@ func FaultsToDisconnect(g *graph.Graph, r *rng.Rand) int {
 		}
 	}
 	return 0
-}
-
-// AverageFaultsToDisconnect averages FaultsToDisconnect over trials and
-// returns the mean fraction of links whose removal disconnects the network.
-// The trials draw from the shared generator in sequence.
-func AverageFaultsToDisconnect(g *graph.Graph, trials int, r *rng.Rand) float64 {
-	if g.M() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(FaultsToDisconnect(g, r))
-	}
-	return sum / float64(trials) / float64(g.M())
-}
-
-// disconnectObs fans this shard's FaultsToDisconnect trials out over the
-// worker pool and returns the per-trial removal counts as job-indexed
-// observations (trial i drawing from rng.At(seed, i)), ready for a mergeable
-// Mean cell. Unowned trials never run.
-func disconnectObs(g *graph.Graph, trials, workers int, seed uint64, sh engine.Shard) []metrics.Obs {
-	counts, _ := engine.RunShard(trials, workers, sh, func(i int) (int, error) {
-		return FaultsToDisconnect(g, rng.At(seed, uint64(i))), nil
-	})
-	return ownedObs(counts, sh)
-}
-
-// upDownFaultObs is disconnectObs for the Figure 11 measure: this shard's
-// FaultsUntilUpDownLost trials as job-indexed observations.
-func upDownFaultObs(c *topology.Clos, trials, workers int, seed uint64, sh engine.Shard) []metrics.Obs {
-	counts, _ := engine.RunShard(trials, workers, sh, func(i int) (int, error) {
-		return FaultsUntilUpDownLost(c, rng.At(seed, uint64(i))), nil
-	})
-	return ownedObs(counts, sh)
-}
-
-// ownedObs converts a RunShard result (full-length, zero where unowned) to
-// the owned observations in trial order.
-func ownedObs(counts []int, sh engine.Shard) []metrics.Obs {
-	obs := make([]metrics.Obs, 0, len(counts))
-	for i, n := range counts {
-		if sh.Owns(i) {
-			obs = append(obs, metrics.Obs{Job: i, V: float64(n)})
-		}
-	}
-	return obs
 }
 
 // FaultsUntilUpDownLost returns the number of random link removals a folded
@@ -107,18 +59,4 @@ func FaultsUntilUpDownLost(c *topology.Clos, r *rng.Rand) int {
 		}
 	}
 	return lo
-}
-
-// AverageUpDownFaultTolerance averages FaultsUntilUpDownLost over trials and
-// returns the mean tolerated fraction of links. The trials draw from the
-// shared generator in sequence.
-func AverageUpDownFaultTolerance(c *topology.Clos, trials int, r *rng.Rand) float64 {
-	if c.Wires() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(FaultsUntilUpDownLost(c, r))
-	}
-	return sum / float64(trials) / float64(c.Wires())
 }

@@ -5,59 +5,12 @@ import (
 	"math"
 
 	"rfclos/internal/core"
-	"rfclos/internal/engine"
 	"rfclos/internal/flow"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/topology"
 	"rfclos/internal/traffic"
 )
-
-// FlowOptions controls the flow-level (max-min-fair) backend sweeps: the
-// backend=flow variant of the scenario exhibits, the flow-only workload
-// exhibits (hotspot, incast, elephant-and-mice, storm) and the 10×-scale
-// comparison. Loads scale the matrix rates; there is no cycle count — each
-// grid point is one exact water-filling solve.
-type FlowOptions struct {
-	// Loads is the offered-load sweep (fraction of a terminal's injection
-	// bandwidth each matrix offers per source).
-	Loads []float64
-	// Reps is the number of independent matrix+path draws averaged per
-	// point.
-	Reps int
-	// Patterns selects traffic matrices by canonical name (see
-	// traffic.MatrixNames); default: the three §6 packet patterns.
-	Patterns []string
-	// Seed drives every random choice. Each job derives its stream from
-	// its coordinates — rng.At(Seed, StringCoord("flow/"+network),
-	// StringCoord(pattern), Float64bits(load), rep) — so reports are
-	// byte-identical for any Workers setting.
-	Seed uint64
-	// Workers sizes the worker pool for the (network × pattern × load ×
-	// rep) grid; 0 means one per CPU.
-	Workers int
-	// Shard restricts execution to the jobs this process owns (see
-	// engine.Shard); partial reports merge byte-identically.
-	Shard engine.Shard
-	// Progress, when non-nil, receives one line per completed job.
-	Progress func(string)
-}
-
-func (o FlowOptions) withDefaults() FlowOptions {
-	if len(o.Loads) == 0 {
-		o.Loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	}
-	if o.Reps <= 0 {
-		o.Reps = 3
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = traffic.Names()
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
 
 // flowNet couples a named network with its flow-level routing adapter.
 type flowNet struct {
@@ -71,15 +24,14 @@ type flowNet struct {
 // with three series per (network, pattern) group: accepted throughput per
 // terminal, the minimum flow rate (the starved-flow floor the mean hides)
 // and Jain's fairness index — the flow backend's new report columns.
-func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions) (*Report, error) {
+func runFlowGrid(title string, notes []string, nets []flowNet, opts SweepOptions) (*Report, error) {
 	names := make([]string, len(nets))
 	for i, n := range nets {
 		names[i] = n.name
 	}
 	sset, err := seriesGrid{
 		label: "flow/", nets: names, xs: func(int) []float64 { return opts.Loads }, xBits: math.Float64bits,
-		patterns: opts.Patterns, reps: opts.Reps, suffixes: []string{"/accepted", "/minrate", "/jain"},
-		seed: opts.Seed, workers: opts.Workers, shard: opts.Shard,
+		patterns: opts.Patterns, reps: opts.Reps, suffixes: []string{"/accepted", "/minrate", "/jain"}, Run: opts.Run,
 	}.run(func(j gridJob, stream *rng.Rand) ([]float64, error) {
 		n := nets[j.net]
 		m, err := traffic.NewMatrix(j.pattern, n.terms, stream)
@@ -110,7 +62,7 @@ func runFlowGrid(title string, notes []string, nets []flowNet, opts FlowOptions)
 // scenario networks (identical generation streams, so the topologies match
 // the cycle backend's run for run), each matrix pattern swept across
 // offered loads with per-flow max-min rates instead of cycle simulation.
-func FlowScenarioSweep(sc Scenario, opts FlowOptions) (*Report, error) {
+func FlowScenarioSweep(sc Scenario, opts SweepOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	nets, err := buildScenarioNets(sc, opts.Seed)
 	if err != nil {
@@ -159,7 +111,7 @@ func flowScaleFor(scale Scale) flowScaleSpec {
 // reach: RFC vs RRN vs XGFT at ~10× the equal-resources scenario's size
 // (116,640 terminals at paper scale). All three networks carry identical
 // terminal counts.
-func FlowScale(scale Scale, opts FlowOptions) (*Report, error) {
+func FlowScale(scale Scale, opts SweepOptions) (*Report, error) {
 	if scale == "" {
 		scale = ScaleSmall
 	}

@@ -15,13 +15,12 @@ func tinyFlowScenario() Scenario {
 	}
 }
 
-func tinyFlowOpts(sh engine.Shard) FlowOptions {
-	return FlowOptions{
+func tinyFlowOpts(sh engine.Shard) SweepOptions {
+	return SweepOptions{
 		Loads:    []float64{0.3, 0.9},
 		Reps:     2,
 		Patterns: []string{"uniform", "hotspot"},
-		Seed:     23,
-		Shard:    sh,
+		Run:      Run{Seed: 23, Shard: sh},
 	}
 }
 
@@ -53,12 +52,11 @@ func TestFlowScaleShardMerge(t *testing.T) {
 		t.Skip("10×-scale flow sweep skipped under -short")
 	}
 	assertShardMerge(t, "FlowScale", func(sh engine.Shard) (*Report, error) {
-		return FlowScale(ScaleSmall, FlowOptions{
+		return FlowScale(ScaleSmall, SweepOptions{
 			Loads:    []float64{1.0},
 			Reps:     1,
 			Patterns: []string{"uniform"},
-			Seed:     23,
-			Shard:    sh,
+			Run:      Run{Seed: 23, Shard: sh},
 		})
 	})
 }

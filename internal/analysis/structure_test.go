@@ -44,7 +44,7 @@ func TestAdversarialReport(t *testing.T) {
 		Scale: ScaleSmall,
 		Reps:  1,
 		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1200},
-		Seed:  7,
+		Run:   Run{Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestJellyfishReport(t *testing.T) {
 		Loads: []float64{0.4},
 		Reps:  1,
 		Sim:   simnet.Config{WarmupCycles: 300, MeasureCycles: 1000},
-		Seed:  17,
+		Run:   Run{Seed: 17},
 	})
 	if err != nil {
 		t.Fatal(err)

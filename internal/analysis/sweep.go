@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rfclos/internal/engine"
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
 	"rfclos/internal/simdirect"
@@ -13,36 +12,27 @@ import (
 	"rfclos/internal/traffic"
 )
 
-// SimOptions controls the simulation-based experiments (Figures 8-10, 12).
-type SimOptions struct {
-	// Loads is the offered-load sweep (phits/node/cycle).
+// SweepOptions controls the series sweeps over offered load: Figures 8-10
+// on either backend, and the flow-only workload and scale exhibits.
+type SweepOptions struct {
+	Run
+	// Loads is the offered-load sweep (phits/node/cycle on the cycle
+	// backend; the fraction of a terminal's injection bandwidth each matrix
+	// offers per source on the flow backend).
 	Loads []float64
 	// Reps is the number of independent repetitions averaged per point
 	// (the paper averages at least 5).
 	Reps int
-	// Sim carries the Table 2 parameters; zero fields take defaults.
-	Sim simnet.Config
-	// Patterns restricts the traffic patterns (default: all three).
+	// Patterns selects the traffic patterns by name (default: the three §6
+	// patterns). The flow backend accepts any traffic.MatrixNames entry.
 	Patterns []string
-	// Seed drives every random choice. Each simulation job derives its
-	// stream from its coordinates — rng.At(Seed, StringCoord(network),
-	// StringCoord(pattern), Float64bits(load), rep) — so reports are
-	// byte-identical for any Workers setting.
-	Seed uint64
-	// Workers is the worker-pool size for the (load × rep × pattern ×
-	// network) job grid; 0 means one worker per CPU (engine.Workers).
-	Workers int
-	// Shard restricts execution to the jobs this process owns (see
-	// engine.Shard); the zero value runs the whole grid. Sharded runs emit
-	// partial aggregates that MergeReports combines byte-identically.
-	Shard engine.Shard
-	// Progress, when non-nil, receives one line per completed job. It is
-	// called from worker goroutines, so it must be safe for concurrent use
-	// when Workers != 1 (engine.Progress builds a safe, counting sink).
-	Progress func(string)
+	// Sim carries the Table 2 parameters; zero fields take defaults. Only
+	// the cycle backend reads it: each flow-backend point is one exact
+	// water-filling solve.
+	Sim simnet.Config
 }
 
-func (o SimOptions) withDefaults() SimOptions {
+func (o SweepOptions) withDefaults() SweepOptions {
 	if len(o.Loads) == 0 {
 		o.Loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	}
@@ -52,9 +42,7 @@ func (o SimOptions) withDefaults() SimOptions {
 	if len(o.Patterns) == 0 {
 		o.Patterns = traffic.Names()
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.Run = o.Run.withDefaults()
 	return o
 }
 
@@ -124,9 +112,10 @@ func buildScenarioNets(sc Scenario, seed uint64) ([]netUnderTest, error) {
 // ScenarioSweep runs the full Figure 8/9/10 experiment for one scenario:
 // every network in the scenario × every traffic pattern × the load sweep,
 // as one (network × pattern × load × rep) job grid on the worker pool.
-// Per-job seeds are derived from the job coordinates, so the report is
-// byte-identical for any opts.Workers.
-func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
+// Each job draws from rng.At(Seed, StringCoord(network), StringCoord(pattern),
+// Float64bits(load), rep), so the report is byte-identical for any
+// opts.Workers.
+func ScenarioSweep(sc Scenario, opts SweepOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	nets, err := buildScenarioNets(sc, opts.Seed)
 	if err != nil {
@@ -138,8 +127,7 @@ func ScenarioSweep(sc Scenario, opts SimOptions) (*Report, error) {
 	}
 	sset, err := seriesGrid{
 		nets: names, xs: func(int) []float64 { return opts.Loads }, xBits: math.Float64bits,
-		patterns: opts.Patterns, reps: opts.Reps, suffixes: []string{"/throughput", "/latency"},
-		seed: opts.Seed, workers: opts.Workers, shard: opts.Shard,
+		patterns: opts.Patterns, reps: opts.Reps, suffixes: []string{"/throughput", "/latency"}, Run: opts.Run,
 	}.run(func(j gridJob, stream *rng.Rand) ([]float64, error) {
 		n := nets[j.net]
 		pat, err := traffic.New(j.pattern, n.terminals(), stream)

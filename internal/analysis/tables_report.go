@@ -19,11 +19,8 @@ func TablesReport(scale Scale, kPaths int, seed uint64) (*Report, error) {
 	if kPaths <= 0 {
 		kPaths = 8 // the Jellyfish paper's k
 	}
-	if seed == 0 {
-		seed = 1
-	}
 	sc := Scenarios(scale)[0]
-	r := rng.At(seed, rng.StringCoord("tables"))
+	r := rng.At(defaultSeed(seed), rng.StringCoord("tables"))
 	rep := &Report{
 		Title: fmt.Sprintf("Forwarding state comparison (%s equal-resources scenario)", scale),
 		Notes: []string{

@@ -4,47 +4,26 @@ import (
 	"fmt"
 
 	"rfclos/internal/analysis"
+	"rfclos/internal/simnet"
 )
 
 // paperRadix is the paper's commodity radix for the analytic exhibits.
 const paperRadix = 36
 
-// simOptions reproduces the pre-registry CLI's SimOptions wiring for the
-// Figure 8-10 sweeps (the only exhibits the InfiniteSink knob reaches).
-func simOptions(p Params) analysis.SimOptions {
-	opts := analysis.SimOptions{
-		Seed: p.Seed, Reps: p.Reps, Workers: p.Workers, Progress: p.Progress,
-		Loads: p.Loads, Patterns: p.Patterns, Shard: p.Shard,
-	}
-	opts.Sim.InfiniteSink = p.InfiniteSink
-	applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-	return opts
+// run maps the shared Params onto the run context of the engine-backed
+// exhibits.
+func run(p Params) analysis.Run {
+	return analysis.Run{Seed: p.Seed, Workers: p.Workers, Shard: p.Shard, Progress: p.Progress}
 }
 
-// applyCycles applies the -cycles override: Cycles measured, Cycles/4
-// warmup, untouched when unset.
-func applyCycles(measure, warmup *int, p Params) {
+// cycles returns the cycle-engine parameters under the -cycles override:
+// Cycles measured and Cycles/4 warmup, the Table 2 defaults when unset.
+func cycles(p Params) simnet.Config {
+	var c simnet.Config
 	if p.Cycles > 0 {
-		*measure = p.Cycles
-		*warmup = p.Cycles / 4
+		c.MeasureCycles, c.WarmupCycles = p.Cycles, p.Cycles/4
 	}
-}
-
-// faultSweepOptions maps the shared Params onto the fault-throughput
-// sweeps' options (fig12, rrnfaults).
-func faultSweepOptions(p Params) analysis.FaultSweepOptions {
-	opts := analysis.FaultSweepOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-		Workers: p.Workers, Progress: p.Progress, Shard: p.Shard}
-	applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-	return opts
-}
-
-// flowOptions maps the shared Params onto the flow backend's options.
-func flowOptions(p Params) analysis.FlowOptions {
-	return analysis.FlowOptions{
-		Seed: p.Seed, Reps: p.Reps, Workers: p.Workers, Progress: p.Progress,
-		Loads: p.Loads, Patterns: p.Patterns, Shard: p.Shard,
-	}
+	return c
 }
 
 // scenarioSweep builds the fig8/9/10 runner for one §6 scenario index,
@@ -57,11 +36,15 @@ func scenarioSweep(scenario int) func(Params) (*Result, error) {
 		if scenario >= 0 && scenario < len(scs) {
 			sc = scs[scenario]
 		}
+		opts := analysis.SweepOptions{Run: run(p), Loads: p.Loads, Reps: p.Reps, Patterns: p.Patterns}
 		switch p.Backend {
 		case "", "cycle":
-			return analysis.ScenarioSweep(sc, simOptions(p))
+			// InfiniteSink reaches fig8-10 only, as in the pre-registry CLI.
+			opts.Sim = cycles(p)
+			opts.Sim.InfiniteSink = p.InfiniteSink
+			return analysis.ScenarioSweep(sc, opts)
 		case "flow":
-			return analysis.FlowScenarioSweep(sc, flowOptions(p))
+			return analysis.FlowScenarioSweep(sc, opts)
 		default:
 			return nil, fmt.Errorf("exhibit: unknown backend %q (cycle|flow)", p.Backend)
 		}
@@ -73,9 +56,8 @@ func scenarioSweep(scenario int) func(Params) (*Result, error) {
 // exhibit's identity, so Params.Patterns is deliberately ignored.
 func flowWorkload(matrix string) func(Params) (*Result, error) {
 	return func(p Params) (*Result, error) {
-		opts := flowOptions(p)
-		opts.Patterns = []string{matrix}
-		return analysis.FlowScenarioSweep(analysis.Scenarios(p.Scale)[0], opts)
+		return analysis.FlowScenarioSweep(analysis.Scenarios(p.Scale)[0],
+			analysis.SweepOptions{Run: run(p), Loads: p.Loads, Reps: p.Reps, Patterns: []string{matrix}})
 	}
 }
 
@@ -112,9 +94,7 @@ func init() {
 		ID: "thm42", Kind: Analytic, Defaults: "n1=300 trials=100",
 		Title: "Theorem 4.2 Monte-Carlo routability check",
 		Run: func(p Params) (*Result, error) {
-			return analysis.Thm42Sharded(analysis.Thm42Options{
-				N1: 300, Trials: p.Trials, Workers: p.Workers, Seed: p.Seed, Shard: p.Shard,
-			})
+			return analysis.Thm42(analysis.Thm42Options{Run: run(p), N1: 300, Trials: p.Trials})
 		},
 	})
 	register(Exhibit{
@@ -136,28 +116,23 @@ func init() {
 		ID: "fig11", Kind: Resiliency, Defaults: "radix=12 trials=5",
 		Title: "Figure 11: up/down fault tolerance across sizes",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.Fig11Options{Radix: 12, Seed: p.Seed, Workers: p.Workers, Shard: p.Shard}
-			if p.Trials > 0 {
-				opts.Trials = p.Trials
-			}
-			return analysis.Fig11UpDownFaults(opts)
+			return analysis.Fig11UpDownFaults(analysis.Fig11Options{Run: run(p), Radix: 12, Trials: p.Trials})
 		},
 	})
 	register(Exhibit{
 		ID: "fig12", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Figure 12: max throughput as links fail",
 		Run: func(p Params) (*Result, error) {
-			return analysis.Fig12FaultThroughput(faultSweepOptions(p))
+			return analysis.Fig12FaultThroughput(analysis.FaultSweepOptions{
+				Run: run(p), Scale: p.Scale, Reps: p.Reps, Sim: cycles(p)})
 		},
 	})
 	register(Exhibit{
 		ID: "ablation", Kind: Sim, Defaults: "scale=small load=0.9 reps=2",
 		Title: "Ablations: simulator design knobs on the RFC",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.AblationOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Ablations(opts)
+			return analysis.Ablations(analysis.AblationOptions{
+				Run: run(p), Scale: p.Scale, Reps: p.Reps, Sim: cycles(p)})
 		},
 	})
 	register(Exhibit{
@@ -171,10 +146,8 @@ func init() {
 		ID: "adversarial", Kind: Sim, Defaults: "scale=small reps=2",
 		Title: "Adversarial shift permutation at full load",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.AdversarialOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Adversarial(opts)
+			return analysis.Adversarial(analysis.AdversarialOptions{
+				Run: run(p), Scale: p.Scale, Reps: p.Reps, Sim: cycles(p)})
 		},
 	})
 	register(Exhibit{
@@ -188,17 +161,16 @@ func init() {
 		ID: "jellyfish", Kind: Sim, Defaults: "scale=small loads=0.3,0.6,0.9,1.0 reps=2",
 		Title: "Extension: RFC vs Jellyfish-style RRNs, uniform traffic",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.JellyfishOptions{Scale: p.Scale, Seed: p.Seed, Reps: p.Reps,
-				Workers: p.Workers, Loads: p.Loads, Shard: p.Shard}
-			applyCycles(&opts.Sim.MeasureCycles, &opts.Sim.WarmupCycles, p)
-			return analysis.Jellyfish(opts)
+			return analysis.Jellyfish(analysis.JellyfishOptions{
+				Run: run(p), Scale: p.Scale, Loads: p.Loads, Reps: p.Reps, Sim: cycles(p)})
 		},
 	})
 	register(Exhibit{
 		ID: "rrnfaults", Kind: Resiliency, Defaults: "scale=small steps=10 reps=2",
 		Title: "Extension: throughput under faults, RFC vs RRN",
 		Run: func(p Params) (*Result, error) {
-			return analysis.RRNFaults(faultSweepOptions(p))
+			return analysis.RRNFaults(analysis.FaultSweepOptions{
+				Run: run(p), Scale: p.Scale, Reps: p.Reps, Sim: cycles(p)})
 		},
 	})
 	register(Exhibit{
@@ -225,18 +197,15 @@ func init() {
 		ID: "flowscale", Kind: Flow, Defaults: "scale=small loads=0.1..1.0 reps=3 patterns=uniform,storm",
 		Title: "Flow backend: RFC vs RRN vs XGFT at 10× scenario scale",
 		Run: func(p Params) (*Result, error) {
-			return analysis.FlowScale(p.Scale, flowOptions(p))
+			return analysis.FlowScale(p.Scale,
+				analysis.SweepOptions{Run: run(p), Loads: p.Loads, Reps: p.Reps, Patterns: p.Patterns})
 		},
 	})
 	register(Exhibit{
 		ID: "table3", Kind: Resiliency, Defaults: "targets=512..8192 trials=100",
 		Title: "Table 3: % of links removed to disconnect each topology",
 		Run: func(p Params) (*Result, error) {
-			opts := analysis.Table3Options{Seed: p.Seed, Workers: p.Workers, Shard: p.Shard}
-			if p.Trials > 0 {
-				opts.Trials = p.Trials
-			}
-			return analysis.Table3Disconnect(opts)
+			return analysis.Table3Disconnect(analysis.Table3Options{Run: run(p), Trials: p.Trials})
 		},
 	})
 }

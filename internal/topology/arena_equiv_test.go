@@ -210,7 +210,9 @@ func equivCases(t *testing.T) map[string]*topology.Clos {
 		t.Fatal(err)
 	}
 	out["oft"] = oft
-	kary, err := core.GenerateGeneral(core.RandomKaryTreeParams(4, 3), rng.New(9))
+	// The random 4-ary 3-tree: 16 switches per level, 4 terminals per leaf,
+	// up-degree 4.
+	kary, err := core.GenerateGeneral(core.NewHashnetParams(16, 3, 4, 4), rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,16 @@ import (
 	"rfclos/internal/rng"
 )
 
+// rrnJSON is the RRN WriteJSON schema, mirroring closJSON: parameters plus
+// an explicit edge list. As with closJSON, the struct is the decode side;
+// WriteJSON streams the identical encoding.
+type rrnJSON struct {
+	N              int      `json:"n"`
+	Degree         int      `json:"degree"`
+	TermsPerSwitch int      `json:"terms_per_switch"`
+	Edges          [][2]int `json:"edges"`
+}
+
 // TestExportFormatsDispatch checks Export produces the same bytes as the
 // per-format writers (the property rfcgen and the service rely on), and
 // rejects unknown formats.

@@ -2,9 +2,68 @@ package topology
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// closJSON is WriteJSON's schema. WriteJSON streams it by hand (its output
+// is pinned byte-identical to encoding/json's by TestStreamedExportGoldens);
+// this struct is the decode side.
+type closJSON struct {
+	Radix        int      `json:"radix"`
+	TermsPerLeaf int      `json:"terms_per_leaf"`
+	LevelSizes   []int    `json:"level_sizes"`
+	Links        [][2]int `json:"links"`
+}
+
+// ReadJSON deserialises a network written by WriteJSON, validating its
+// structure. It is WriteJSON's round-trip oracle and has no caller outside
+// the tests, so it is not an input boundary of the shipped binaries and is
+// not fuzzed.
+func ReadJSON(r io.Reader) (*Clos, error) {
+	var in closJSON
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
+		return nil, fmt.Errorf("topology: decoding: %w", err)
+	}
+	c, err := NewEmpty(in.LevelSizes, in.TermsPerLeaf, in.Radix)
+	if err != nil {
+		return nil, err
+	}
+	// Bucket links by lower-endpoint level, then seal one emitter per level
+	// pair. Bucketing preserves file order within each pair, and the
+	// emitter's stable grouping preserves order within each switch, so the
+	// loaded adjacency matches what link-by-link AddLink produced — but the
+	// graph lands in the immutable CSR base instead of the overlay.
+	total := int32(c.NumSwitches())
+	buckets := make([][]int32, c.Levels())
+	for i, l := range in.Links {
+		a, b := int32(l[0]), int32(l[1])
+		if a < 0 || a >= total || b < 0 || b >= total {
+			return nil, fmt.Errorf("topology: link %d (%d-%d) out of range", i, a, b)
+		}
+		la := c.LevelOf(a)
+		if c.LevelOf(b) != la+1 {
+			return nil, fmt.Errorf("topology: link %d (%d-%d) not between adjacent levels", i, a, b)
+		}
+		buckets[la-1] = append(buckets[la-1], a, b)
+	}
+	for lev := 1; lev < c.Levels(); lev++ {
+		pairs := buckets[lev-1]
+		e := c.WireLevel(lev, len(pairs)/2)
+		for j := 0; j+1 < len(pairs); j += 2 {
+			e.Link(pairs[j], pairs[j+1])
+		}
+		e.Seal()
+	}
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("topology: loaded network invalid: %w", err)
+	}
+	return c, nil
+}
 
 func TestJSONRoundTrip(t *testing.T) {
 	orig, err := NewCFT(8, 3)

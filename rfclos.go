@@ -170,16 +170,21 @@ func Fig7Expandability(radix, maxTerminals, points int) *Report {
 // Costs regenerates the §5 cost comparison table.
 func Costs() *Report { return analysis.Costs() }
 
+// Run is the execution context every simulated or Monte-Carlo experiment's
+// options embed: seed, worker-pool size, shard and progress sink. Reports
+// are byte-identical for any worker count.
+type Run = analysis.Run
+
 // Thm42 runs the Theorem 4.2 Monte-Carlo validation with its trials fanned
-// out on a worker pool (workers <= 0 means one per CPU). The report is
-// byte-identical for any worker count.
-func Thm42(n1, trials, workers int, seed uint64) (*Report, error) {
-	return analysis.Thm42(n1, trials, workers, seed)
-}
+// out on a worker pool.
+func Thm42(opts Thm42Options) (*Report, error) { return analysis.Thm42(opts) }
+
+// Thm42Options configures Thm42.
+type Thm42Options = analysis.Thm42Options
 
 // ScenarioSweep runs the Figure 8/9/10 latency-throughput sweep for one of
 // the §6 scenarios (index 0..2) at the given scale.
-func ScenarioSweep(scale analysis.Scale, scenario int, opts analysis.SimOptions) (*Report, error) {
+func ScenarioSweep(scale analysis.Scale, scenario int, opts SweepOptions) (*Report, error) {
 	scs := analysis.Scenarios(scale)
 	if scenario < 0 || scenario >= len(scs) {
 		scenario = 0
@@ -187,9 +192,9 @@ func ScenarioSweep(scale analysis.Scale, scenario int, opts analysis.SimOptions)
 	return analysis.ScenarioSweep(scs[scenario], opts)
 }
 
-// SimOptions configures ScenarioSweep (loads, repetitions, Table 2
-// parameters).
-type SimOptions = analysis.SimOptions
+// SweepOptions configures ScenarioSweep (loads, repetitions, patterns,
+// Table 2 parameters).
+type SweepOptions = analysis.SweepOptions
 
 // Fig11UpDownFaults regenerates Figure 11 (up/down fault tolerance).
 func Fig11UpDownFaults(opts analysis.Fig11Options) (*Report, error) {
