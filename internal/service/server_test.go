@@ -495,3 +495,25 @@ func TestThroughputEndpoint(t *testing.T) {
 		t.Errorf("negative load: HTTP %d, want 400", code)
 	}
 }
+
+// TestOversizedBodyRejected posts a 2 MiB body to every JSON endpoint and
+// expects 413, with the server still answering /healthz afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	// A syntactically open JSON value, so the decoder keeps reading until
+	// the limit stops it.
+	body := append([]byte(`{"pairs":[`), bytes.Repeat([]byte("[0,1],"), (2<<20)/6)...)
+	for _, path := range []string{"/v1/topology", "/v1/paths", "/v1/expand", "/v1/throughput"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: HTTP %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if code, body := getBody(t, ts.URL, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after oversized bodies: HTTP %d %s", code, body)
+	}
+}
