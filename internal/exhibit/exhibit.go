@@ -60,8 +60,8 @@ type Params struct {
 	// the flow-level max-min-fair solver. Flow-kind exhibits always use the
 	// flow backend; other exhibits ignore the knob.
 	Backend string
-	// Progress, when non-nil, receives one line per completed job of the
-	// exhibits that report progress.
+	// Progress, when non-nil, receives one line per completed job of every
+	// engine-backed exhibit (see analysis.Run).
 	Progress func(string)
 	// Shard restricts the job grids to the slice this process owns; the
 	// zero value runs everything (see engine.Shard).
