@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -282,6 +284,39 @@ func TestFig11Small(t *testing.T) {
 	}
 	if !sawRFC3 {
 		t.Error("no positive-tolerance RFC-3L point")
+	}
+	// The stddev column is the sample stddev of the row's observed
+	// fractions (faults / wires), recomputed here from the mean cell's own
+	// observations.
+	sawSpread := false
+	for _, row := range rep.Rows {
+		tol, std := row.Cells[2], row.Cells[3]
+		if len(tol.Obs) != 2 {
+			t.Fatalf("%s: %d observations, want 2", row.Key, len(tol.Obs))
+		}
+		mean := 0.0
+		for _, o := range tol.Obs {
+			mean += o.V / tol.Div
+		}
+		mean /= float64(len(tol.Obs))
+		ss := 0.0
+		for _, o := range tol.Obs {
+			d := o.V/tol.Div - mean
+			ss += d * d
+		}
+		want := math.Sqrt(ss / float64(len(tol.Obs)-1))
+		if got := std.Value(); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: stddev %v, want %v", row.Key, got, want)
+		}
+		if got := std.Text(); got != fmt.Sprintf("%.4f", want) {
+			t.Errorf("%s: stddev cell %q, want %.4f", row.Key, got, want)
+		}
+		if want > 0 {
+			sawSpread = true
+		}
+	}
+	if !sawSpread {
+		t.Error("every Fig 11 row has stddev 0 at 2 trials")
 	}
 }
 

@@ -232,8 +232,10 @@ func Fig11UpDownFaults(opts Fig11Options) (*Report, error) {
 		for _, row := range rowsBySeries[name] {
 			tol := Mean(row.obs, opts.Trials, "%.4f")
 			tol.Div = float64(row.wires)
+			std := Std(row.obs, opts.Trials, "%.4f")
+			std.Div = tol.Div
 			rep.AddKeyed(fmt.Sprintf("%s@%g", name, row.x),
-				Str(name), Float(row.x, "%g"), tol, Float(0, "%.4f"))
+				Str(name), Float(row.x, "%g"), tol, std)
 		}
 	}
 	return rep, nil

@@ -7,6 +7,7 @@ import (
 
 	"rfclos/internal/rng"
 	"rfclos/internal/routing"
+	"rfclos/internal/topology"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -221,6 +222,44 @@ func TestGenerateRoutableBelowThreshold(t *testing.T) {
 	}
 }
 
+// TestGenerateRoutableMatchesReplay checks that GenerateRoutable is
+// Generate then routing.New per attempt: replaying the same number of
+// Generate calls on an equal-seed rng yields the same wiring, the same
+// cover accounting and the same rng position afterwards.
+func TestGenerateRoutableMatchesReplay(t *testing.T) {
+	p := Params{Radix: 8, Leaves: 64, Levels: 3}
+	r := rng.New(11)
+	c, ud, attempts, err := GenerateRoutable(p, 20, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := rng.New(11)
+	var want *topology.Clos
+	for a := 1; a <= attempts; a++ {
+		if want, err = Generate(p, r2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotLinks, wantLinks := c.Links(), want.Links()
+	if len(gotLinks) != len(wantLinks) {
+		t.Fatalf("link counts differ: %d vs %d", len(gotLinks), len(wantLinks))
+	}
+	for i := range wantLinks {
+		if gotLinks[i] != wantLinks[i] {
+			t.Fatalf("link %d: GenerateRoutable %v, replay %v", i, gotLinks[i], wantLinks[i])
+		}
+	}
+	if !ud.Routable() {
+		t.Fatal("GenerateRoutable returned an unroutable router")
+	}
+	if got, want := ud.CoverBytes(), routing.New(want).CoverBytes(); got != want {
+		t.Fatalf("CoverBytes: GenerateRoutable %d, replay %d", got, want)
+	}
+	if got, want := r.Uint64(), r2.Uint64(); got != want {
+		t.Fatalf("rng position after GenerateRoutable differs from the replay: %x vs %x", got, want)
+	}
+}
+
 func TestTheorem42MonteCarlo(t *testing.T) {
 	// Empirical check of the sharp threshold on a 2-level RFC with N1=200
 	// leaves (N2=100 roots): well below threshold routability is rare,
@@ -307,8 +346,11 @@ func TestExpand(t *testing.T) {
 	// The expanded network usually stays routable this far above
 	// threshold; verify the bitsets at least see every new leaf.
 	ud := routing.New(out)
-	if got := ud.Descendants(out.SwitchID(1, 21)).Count(); got != 1 {
-		t.Errorf("new leaf descendant count = %d", got)
+	desc := ud.Descendants(out.SwitchID(1, 21))
+	for leaf := 0; leaf < out.LevelSize(1); leaf++ {
+		if got, want := desc.Get(leaf), leaf == 21; got != want {
+			t.Errorf("new leaf descendant set: Get(%d) = %v, want %v", leaf, got, want)
+		}
 	}
 }
 

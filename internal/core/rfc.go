@@ -21,14 +21,6 @@ var ErrNotRoutable = errors.New("core: could not generate an up/down-routable RF
 // result is a valid radix-regular folded Clos; whether it enjoys up/down
 // routing is probabilistic, governed by Theorem 4.2.
 func Generate(p Params, r *rng.Rand) (*topology.Clos, error) {
-	return GenerateStream(p, r, nil)
-}
-
-// GenerateStream is Generate with a level sink: each level pair's random
-// bipartite wiring is sealed into the CSR store — and handed to sink —
-// before the next pair is drawn, so the bipartite scratch of one level pair
-// is all the extra memory construction ever holds.
-func GenerateStream(p Params, r *rng.Rand, sink topology.LevelSink) (*topology.Clos, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -38,7 +30,6 @@ func GenerateStream(p Params, r *rng.Rand, sink topology.LevelSink) (*topology.C
 	if err != nil {
 		return nil, err
 	}
-	c.SetLevelSink(sink)
 	for i := 0; i < p.Levels-1; i++ {
 		nA, nB := sizes[i], sizes[i+1]
 		dB := nA * half / nB // R/2 below the top pair, R at the top pair
@@ -68,17 +59,11 @@ func GenerateRoutable(p Params, maxAttempts int, r *rng.Rand) (*topology.Clos, *
 		maxAttempts = 20
 	}
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		// Stream each attempt: descendant sets are compressed level by level
-		// while the bipartite wiring of the next level pair is drawn, so an
-		// attempt never holds the full graph and full uncompressed state at
-		// once. The result is identical to routing.New on the finished
-		// topology.
-		rs := routing.NewRebuildStream()
-		c, err := GenerateStream(p, r, rs)
+		c, err := Generate(p, r)
 		if err != nil {
 			return nil, nil, attempt, err
 		}
-		ud := rs.Finish(c)
+		ud := routing.New(c)
 		if ud.Routable() {
 			return c, ud, attempt, nil
 		}

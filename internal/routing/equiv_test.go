@@ -233,10 +233,13 @@ func checkEquivalence(t *testing.T, c *topology.Clos) {
 			if hyb == nil {
 				continue
 			}
-			if got, want := hyb.Count(), ref[r][s].Count(); got != want {
-				t.Fatalf("cover[%d][%d] Count = %d, want %d (repr %s)", r, s, got, want, hyb.Repr())
+			for leaf := 0; leaf < n1; leaf++ {
+				if got, want := hyb.Get(leaf), ref[r][s].Get(leaf); got != want {
+					t.Fatalf("cover[%d][%d].Get(%d) = %v, want %v (repr %s)", r, s, leaf, got, want, hyb.Repr())
+				}
 			}
-			hyb.Fill(buf)
+			buf.Clear()
+			hyb.OrInto(buf)
 			for w := range buf {
 				if buf[w] != ref[r][s][w] {
 					t.Fatalf("cover[%d][%d] word %d differs (repr %s)", r, s, w, hyb.Repr())

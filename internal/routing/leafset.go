@@ -32,26 +32,14 @@ import (
 
 // LeafSet is an immutable set of leaf-switch indices in [0, n), the
 // abstraction UpDown routes through instead of concrete Bitsets. All
-// implementations answer membership in O(log size) or better and iterate
-// as maximal runs in ascending order.
+// implementations answer membership in O(log size) or better.
 type LeafSet interface {
 	// Get reports whether leaf index i is a member. i must be in [0, n).
 	Get(i int) bool
-	// Count returns the number of member leaves.
-	Count() int
-	// Empty reports whether the set has no members.
-	Empty() bool
 	// Full reports whether the set contains every leaf in [0, n).
 	Full() bool
-	// Runs calls yield for every maximal run [lo, hi) of members in
-	// ascending order, stopping early when yield returns false.
-	Runs(yield func(lo, hi int) bool) bool
 	// OrInto ors the set's members into b (b must hold >= n bits).
 	OrInto(b Bitset)
-	// Fill overwrites b with exactly the set's members; bits at positions
-	// >= n are cleared (b must be the (n+63)/64-word bitset of the
-	// universe).
-	Fill(b Bitset)
 	// SizeBytes returns the container's memory footprint, including its
 	// struct and slice headers.
 	SizeBytes() int
@@ -72,36 +60,20 @@ const (
 // emptySet is the no-members container.
 type emptySet struct{ n int }
 
-func (s emptySet) Get(int) bool                    { return false }
-func (s emptySet) Count() int                      { return 0 }
-func (s emptySet) Empty() bool                     { return true }
-func (s emptySet) Full() bool                      { return s.n == 0 }
-func (s emptySet) Runs(func(lo, hi int) bool) bool { return true }
-func (s emptySet) OrInto(Bitset)                   {}
-func (s emptySet) Fill(b Bitset)                   { b.Clear() }
-func (s emptySet) SizeBytes() int                  { return scalarSetBytes }
-func (s emptySet) Repr() string                    { return "empty" }
+func (s emptySet) Get(int) bool   { return false }
+func (s emptySet) Full() bool     { return s.n == 0 }
+func (s emptySet) OrInto(Bitset)  {}
+func (s emptySet) SizeBytes() int { return scalarSetBytes }
+func (s emptySet) Repr() string   { return "empty" }
 
 // fullSet contains every leaf in [0, n).
 type fullSet struct{ n int }
 
-func (s fullSet) Get(int) bool { return true }
-func (s fullSet) Count() int   { return s.n }
-func (s fullSet) Empty() bool  { return s.n == 0 }
-func (s fullSet) Full() bool   { return true }
-func (s fullSet) Runs(yield func(lo, hi int) bool) bool {
-	if s.n == 0 {
-		return true
-	}
-	return yield(0, s.n)
-}
+func (s fullSet) Get(int) bool    { return true }
+func (s fullSet) Full() bool      { return true }
 func (s fullSet) OrInto(b Bitset) { b.SetRange(0, s.n) }
-func (s fullSet) Fill(b Bitset) {
-	b.Clear()
-	b.SetRange(0, s.n)
-}
-func (s fullSet) SizeBytes() int { return scalarSetBytes }
-func (s fullSet) Repr() string   { return "full" }
+func (s fullSet) SizeBytes() int  { return scalarSetBytes }
+func (s fullSet) Repr() string    { return "full" }
 
 // runSet stores sorted disjoint non-adjacent runs packed lo<<32|hi.
 type runSet struct {
@@ -121,25 +93,11 @@ func (s *runSet) Get(i int) bool {
 	k := sort.Search(len(s.runs), func(k int) bool { return runLo(s.runs[k]) > i }) - 1
 	return k >= 0 && i < runHi(s.runs[k])
 }
-func (s *runSet) Count() int  { return s.count }
-func (s *runSet) Empty() bool { return s.count == 0 }
-func (s *runSet) Full() bool  { return s.count == s.n }
-func (s *runSet) Runs(yield func(lo, hi int) bool) bool {
-	for _, r := range s.runs {
-		if !yield(runLo(r), runHi(r)) {
-			return false
-		}
-	}
-	return true
-}
+func (s *runSet) Full() bool { return s.count == s.n }
 func (s *runSet) OrInto(b Bitset) {
 	for _, r := range s.runs {
 		b.SetRange(runLo(r), runHi(r))
 	}
-}
-func (s *runSet) Fill(b Bitset) {
-	b.Clear()
-	s.OrInto(b)
 }
 func (s *runSet) SizeBytes() int { return sliceSetBytes + 8*len(s.runs) }
 func (s *runSet) Repr() string   { return "run" }
@@ -154,32 +112,11 @@ func (s *sparseSet) Get(i int) bool {
 	_, ok := slices.BinarySearch(s.ids, int32(i))
 	return ok
 }
-func (s *sparseSet) Count() int  { return len(s.ids) }
-func (s *sparseSet) Empty() bool { return len(s.ids) == 0 }
-func (s *sparseSet) Full() bool  { return len(s.ids) == s.n }
-func (s *sparseSet) Runs(yield func(lo, hi int) bool) bool {
-	for k := 0; k < len(s.ids); {
-		lo := int(s.ids[k])
-		hi := lo + 1
-		k++
-		for k < len(s.ids) && int(s.ids[k]) == hi {
-			hi++
-			k++
-		}
-		if !yield(lo, hi) {
-			return false
-		}
-	}
-	return true
-}
+func (s *sparseSet) Full() bool { return len(s.ids) == s.n }
 func (s *sparseSet) OrInto(b Bitset) {
 	for _, id := range s.ids {
 		b.Set(int(id))
 	}
-}
-func (s *sparseSet) Fill(b Bitset) {
-	b.Clear()
-	s.OrInto(b)
 }
 func (s *sparseSet) SizeBytes() int { return sliceSetBytes + 4*len(s.ids) }
 func (s *sparseSet) Repr() string   { return "sparse" }
@@ -197,34 +134,16 @@ func (s *compSet) Get(i int) bool {
 	_, ok := slices.BinarySearch(s.holes, int32(i))
 	return !ok
 }
-func (s *compSet) Count() int  { return s.n - len(s.holes) }
-func (s *compSet) Empty() bool { return len(s.holes) == s.n }
-func (s *compSet) Full() bool  { return len(s.holes) == 0 }
-func (s *compSet) Runs(yield func(lo, hi int) bool) bool {
+func (s *compSet) Full() bool { return len(s.holes) == 0 }
+
+// OrInto sets the runs between consecutive holes.
+func (s *compSet) OrInto(b Bitset) {
 	lo := 0
 	for _, h := range s.holes {
-		if lo < int(h) && !yield(lo, int(h)) {
-			return false
-		}
+		b.SetRange(lo, int(h))
 		lo = int(h) + 1
 	}
-	if lo < s.n {
-		return yield(lo, s.n)
-	}
-	return true
-}
-func (s *compSet) OrInto(b Bitset) {
-	s.Runs(func(lo, hi int) bool {
-		b.SetRange(lo, hi)
-		return true
-	})
-}
-func (s *compSet) Fill(b Bitset) {
-	b.Clear()
-	b.SetRange(0, s.n)
-	for _, h := range s.holes {
-		b.ClearBit(int(h))
-	}
+	b.SetRange(lo, s.n)
 }
 func (s *compSet) SizeBytes() int { return sliceSetBytes + 4*len(s.holes) }
 func (s *compSet) Repr() string   { return "comp" }
@@ -236,29 +155,9 @@ type bitsSet struct {
 	bits  Bitset
 }
 
-func (s *bitsSet) Get(i int) bool { return s.bits.Get(i) }
-func (s *bitsSet) Count() int     { return s.count }
-func (s *bitsSet) Empty() bool    { return s.count == 0 }
-func (s *bitsSet) Full() bool     { return s.count == s.n }
-func (s *bitsSet) Runs(yield func(lo, hi int) bool) bool {
-	for i := 0; i < s.n; {
-		lo := s.bits.NextSet(i)
-		if lo < 0 || lo >= s.n {
-			return true
-		}
-		hi := s.bits.NextClear(lo)
-		if hi > s.n {
-			hi = s.n
-		}
-		if !yield(lo, hi) {
-			return false
-		}
-		i = hi
-	}
-	return true
-}
+func (s *bitsSet) Get(i int) bool  { return s.bits.Get(i) }
+func (s *bitsSet) Full() bool      { return s.count == s.n }
 func (s *bitsSet) OrInto(b Bitset) { b.Or(s.bits) }
-func (s *bitsSet) Fill(b Bitset)   { copy(b, s.bits) }
 func (s *bitsSet) SizeBytes() int  { return sliceSetBytes + 8*len(s.bits) }
 func (s *bitsSet) Repr() string    { return "bits" }
 

@@ -19,12 +19,6 @@ func bitsetOf(n int, members ...int) Bitset {
 // reference bitset the set was built from.
 func checkLeafSetMatchesBitset(t *testing.T, s LeafSet, ref Bitset, n int) {
 	t.Helper()
-	if got, want := s.Count(), ref.Count(); got != want {
-		t.Fatalf("%s: Count = %d, want %d", s.Repr(), got, want)
-	}
-	if got, want := s.Empty(), ref.Count() == 0; got != want {
-		t.Fatalf("%s: Empty = %v, want %v", s.Repr(), got, want)
-	}
 	if got, want := s.Full(), ref.Full(n); got != want {
 		t.Fatalf("%s: Full = %v, want %v", s.Repr(), got, want)
 	}
@@ -33,31 +27,13 @@ func checkLeafSetMatchesBitset(t *testing.T, s LeafSet, ref Bitset, n int) {
 			t.Fatalf("%s: Get(%d) = %v, want %v", s.Repr(), i, got, want)
 		}
 	}
-	// Runs must be maximal, ascending, and reconstruct the set exactly.
-	recon := NewBitset(n)
-	last := -1 // previous run's hi; runs must be ascending with a gap between them
-	s.Runs(func(lo, hi int) bool {
-		if lo >= hi || lo <= last || hi > n {
-			t.Fatalf("%s: bad run [%d, %d) after hi=%d", s.Repr(), lo, hi, last)
-		}
-		recon.SetRange(lo, hi)
-		last = hi
-		return true
-	})
-	for i, w := range recon {
-		if w != ref[i] {
-			t.Fatalf("%s: Runs reconstruction differs at word %d", s.Repr(), i)
-		}
-	}
-	// Fill must produce exactly the reference words (padding bits clear).
+	// OrInto a cleared bitset must produce exactly the reference words
+	// (padding bits clear).
 	buf := NewBitset(n)
-	for i := range buf {
-		buf[i] = ^uint64(0) // garbage that Fill must overwrite
-	}
-	s.Fill(buf)
+	s.OrInto(buf)
 	for i, w := range buf {
 		if w != ref[i] {
-			t.Fatalf("%s: Fill differs at word %d: %x vs %x", s.Repr(), i, w, ref[i])
+			t.Fatalf("%s: OrInto(cleared) differs at word %d: %x vs %x", s.Repr(), i, w, ref[i])
 		}
 	}
 	// OrInto must add exactly the members.

@@ -38,7 +38,7 @@ type UpDown struct {
 // New builds routing state for c. Call Rebuild after mutating the topology
 // (e.g. removing links).
 func New(c *topology.Clos) *UpDown {
-	u := &UpDown{c: c, n1: c.LevelSize(1)}
+	u := &UpDown{c: c}
 	u.Rebuild()
 	return u
 }
@@ -88,24 +88,40 @@ func (u *UpDown) CoverRepr() string {
 	return formatCoverRepr(counts)
 }
 
-// Rebuild recomputes every descendant and cover set from the topology. The
-// build is level-streaming: sets are produced one switch at a time through
-// a single reusable scratch bitset and compressed immediately, so peak
-// transient memory is one N1-bit buffer plus the compressed result —
-// never the old O(N1²/8) of materialising every set as a plain bitset.
-// Interval-shaped inputs union as sorted run lists without touching the
-// scratch at all, and when the topology declares contiguous descendant
-// ranges (Clos.LeafRange, set by the XGFT family) desc sets are built
-// directly from the declared interval.
-//
-// Rebuild is the batch entry point over a finished topology; it shares its
-// per-level machinery with RebuildStream (stream.go), which computes the
-// same state incrementally as builders seal CSR levels.
+// Rebuild recomputes every descendant and cover set from the topology,
+// level by level: sets are produced one switch at a time through a single
+// reusable scratch bitset and compressed immediately, so peak transient
+// memory is one N1-bit buffer plus the compressed result — never the old
+// O(N1²/8) of materialising every set as a plain bitset. Interval-shaped
+// inputs union as sorted run lists without touching the scratch at all,
+// and when the topology declares contiguous descendant ranges
+// (Clos.LeafRange, set by the XGFT family) desc sets are built directly
+// from the declared interval.
 func (u *UpDown) Rebuild() {
-	rs := NewRebuildStream()
-	fin := rs.Finish(u.c)
-	u.cover = fin.cover
-	u.n1 = fin.n1
+	c := u.c
+	u.n1 = c.LevelSize(1)
+	bld := newLeafSetBuilder(u.n1)
+	desc := make([]LeafSet, c.NumSwitches())
+	for i := 0; i < u.n1; i++ {
+		desc[c.SwitchID(1, i)] = newSingletonLeafSet(u.n1, i)
+	}
+	for lev := 2; lev <= c.Levels(); lev++ {
+		for i := 0; i < c.LevelSize(lev); i++ {
+			s := c.SwitchID(lev, i)
+			if lo, hi, ok := c.LeafRange(s); ok {
+				desc[s] = leafSetFromRange(u.n1, lo, hi)
+				continue
+			}
+			bld.reset()
+			for _, ch := range c.Down(s) {
+				bld.add(desc[ch])
+			}
+			desc[s] = bld.finish()
+		}
+	}
+	u.cover = make([][]LeafSet, c.Levels())
+	u.cover[0] = desc
+	u.finishCovers(bld)
 }
 
 // finishCovers builds cover_r for r = 1..l-1 over the completed up-wiring,

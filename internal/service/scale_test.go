@@ -267,15 +267,15 @@ func TestPaperScaleServing(t *testing.T) {
 // exists for: a 3-level XGFT with N1 = N2 = 524288 and N3 = 16 — 1,048,592
 // switches, 2,097,152 terminals, ~5.2M wires. The old arena representation
 // charged ~50 MB of per-switch slice headers on top of the wire data; the
-// CSR store is two flat arrays per level/direction, and the streamed build
-// never materialises wiring scratch and uncompressed covers together.
+// CSR store is two flat arrays per level/direction, and the covers are
+// compressed switch by switch as routing.New builds them.
 func millionSwitchSpec() Spec {
 	return Spec{Kind: "xgft", M: []int{4, 8, 65536}, W: []int{1, 8, 2}, Radix: 65536}
 }
 
 // TestMillionSwitchServing is the >1M-switch smoke: the 524288-leaf build
-// is wired level by level into the CSR store, its covers compressed as the
-// levels land, and serves GET /v1/path and POST /v1/paths through the full handler stack.
+// is wired level by level into the CSR store, its covers compressed by
+// routing.New, and serves GET /v1/path and POST /v1/paths through the full handler stack.
 // CI runs it under GOMEMLIMIT=4GiB next to the 64K and 262144-leaf smokes.
 func TestMillionSwitchServing(t *testing.T) {
 	if testing.Short() {

@@ -77,9 +77,6 @@ func (sp Spec) Normalize() (Spec, error) {
 		if err := p.Validate(); err != nil {
 			return sp, err
 		}
-		if p.Switches() > maxSwitches {
-			return sp, fmt.Errorf("service: %v exceeds the %d-switch serving limit", p, maxSwitches)
-		}
 	case "cft":
 		sp.Seed = 0
 		if sp.Radix < 4 || sp.Radix%2 != 0 {
@@ -124,7 +121,49 @@ func (sp Spec) Normalize() (Spec, error) {
 	default:
 		return sp, fmt.Errorf("service: unknown topology kind %q (want rfc, cft, kary, oft, xgft or rrn)", sp.Kind)
 	}
+	sizes, err := sp.levelSizes()
+	if err != nil {
+		return sp, err
+	}
+	if topology.TotalSwitches(sizes) > maxSwitches {
+		return sp, fmt.Errorf("service: %s exceeds the %d-switch serving limit", sp.Canonical(), maxSwitches)
+	}
 	return sp, nil
+}
+
+// levelSizes returns the per-level switch counts the builder of a validated
+// spec allocates, from the functions the builders themselves call, so the
+// serving limit and the build cannot disagree. Counts saturate instead of
+// overflowing. rrn has no levels; its own check bounds N.
+func (sp Spec) levelSizes() ([]int, error) {
+	switch sp.Kind {
+	case "xgft":
+		return topology.XGFTLevelSizes(sp.M, sp.W)
+	case "rrn":
+		return nil, nil
+	}
+	if sp.Levels > maxSwitches {
+		// Every level holds at least one switch, so this is over the limit
+		// before any per-level slice is allocated.
+		return []int{sp.Levels}, nil
+	}
+	switch sp.Kind {
+	case "rfc":
+		return core.Params{Radix: sp.Radix, Levels: sp.Levels, Leaves: sp.Leaves}.LevelSizes(), nil
+	case "cft":
+		m, w, err := topology.CFTShape(sp.Radix, sp.Levels, sp.Radix/2)
+		if err != nil {
+			return nil, err
+		}
+		return topology.XGFTLevelSizes(m, w)
+	case "kary":
+		m, w, err := topology.KaryTreeShape(sp.K, sp.Levels)
+		if err != nil {
+			return nil, err
+		}
+		return topology.XGFTLevelSizes(m, w)
+	}
+	return topology.OFTLevelSizes(sp.Q, sp.Levels), nil
 }
 
 // Canonical renders the normalized spec as the canonical parameter string
@@ -189,12 +228,6 @@ type Topology struct {
 func Build(sp Spec) (*Topology, error) {
 	start := time.Now() //rfclint:allow handler-purity -- build duration feeds /metrics counters, never response bytes
 	t := &Topology{Key: sp.Key(), Canon: sp.Canonical(), Spec: sp}
-	// Every deterministic folded Clos kind builds through the streaming
-	// path: the builder seals CSR level pairs bottom-up and the attached
-	// RebuildStream compresses descendant sets as each pair lands, so a
-	// >1M-switch build never holds wiring scratch and uncompressed routing
-	// state at once. The rfc kind streams inside GenerateRoutable.
-	rs := routing.NewRebuildStream()
 	var err error
 	switch sp.Kind {
 	case "rfc":
@@ -205,13 +238,13 @@ func Build(sp Spec) (*Topology, error) {
 		}
 		t.Routable = true
 	case "cft":
-		t.Clos, err = topology.NewCFTStream(sp.Radix, sp.Levels, rs)
+		t.Clos, err = topology.NewCFT(sp.Radix, sp.Levels)
 	case "kary":
-		t.Clos, err = topology.NewKaryTreeStream(sp.K, sp.Levels, rs)
+		t.Clos, err = topology.NewKaryTree(sp.K, sp.Levels)
 	case "oft":
-		t.Clos, err = topology.NewOFTStream(sp.Q, sp.Levels, rs)
+		t.Clos, err = topology.NewOFT(sp.Q, sp.Levels)
 	case "xgft":
-		t.Clos, err = topology.NewXGFTStream(sp.M, sp.W, sp.Radix, rs)
+		t.Clos, err = topology.NewXGFT(sp.M, sp.W, sp.Radix)
 	case "rrn":
 		t.RRN, err = topology.NewRRN(sp.N, sp.Degree, sp.Terms, rng.New(sp.Seed))
 		if err != nil {
@@ -225,11 +258,8 @@ func Build(sp Spec) (*Topology, error) {
 		return nil, err
 	}
 	if t.Clos != nil {
-		if t.Clos.NumSwitches() > maxSwitches {
-			return nil, fmt.Errorf("service: %s exceeds the %d-switch serving limit", t.Canon, maxSwitches)
-		}
 		if t.Router == nil {
-			t.Router = rs.Finish(t.Clos)
+			t.Router = routing.New(t.Clos)
 			t.Routable = t.Router.Routable()
 		}
 		t.Index = t.Router

@@ -7,6 +7,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"rfclos/internal/graph"
@@ -53,8 +54,6 @@ type Clos struct {
 	// (which reach ensureOverlay before touching adjacency).
 	//rfclint:mutatesvia ensureOverlay,Seal
 	wires int
-	// sink, when set, observes level pairs as builders seal them.
-	sink LevelSink
 	// leafRange, when non-nil, records for every switch s the contiguous
 	// descendant-leaf interval [leafRange[2s], leafRange[2s+1]). Builders
 	// whose wiring makes every descendant set contiguous (the XGFT family)
@@ -94,6 +93,27 @@ func NewEmpty(levelSize []int, termsPerLeaf, radix int) (*Clos, error) {
 		up:           make([]csrLevel, len(levelSize)),
 		down:         make([]csrLevel, len(levelSize)),
 	}, nil
+}
+
+// TotalSwitches sums per-level switch counts, saturating at math.MaxInt
+// instead of wrapping.
+func TotalSwitches(sizes []int) int {
+	total := 0
+	for _, n := range sizes {
+		if n > math.MaxInt-total {
+			return math.MaxInt
+		}
+		total += n
+	}
+	return total
+}
+
+// mulSat returns a*b for a, b >= 0, saturating at math.MaxInt.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Levels returns l, the number of switch levels.
@@ -147,8 +167,7 @@ func (c *Clos) Down(s int32) []int32 {
 }
 
 // setLeafRanges installs builder-computed contiguous descendant leaf
-// ranges (see the leafRange field). Builders call it once; XGFT declares
-// the ranges before wiring so level sinks can use them mid-build.
+// ranges (see the leafRange field). Builders call it once.
 func (c *Clos) setLeafRanges(r []int32) { c.leafRange = r }
 
 // LeafRange returns the contiguous descendant leaf interval [lo, hi) of

@@ -93,18 +93,6 @@ func (o *overlay) bytes() int {
 	return n
 }
 
-// LevelSink receives sealed level pairs during construction. Builders that
-// accept a sink call it synchronously from LevelEmitter.Seal, after the
-// level's CSR blocks are installed: at that point the down-links of level+1
-// are final, so a consumer (routing.RebuildStream) can fold the level into
-// its own state while the builder moves on — wiring and cover construction
-// pipeline instead of running back-to-back.
-type LevelSink interface {
-	// LevelSealed is called once per wired level pair, with the lower level
-	// (1-based). Levels seal bottom-up in every builder in this repository.
-	LevelSealed(c *Clos, level int)
-}
-
 // LevelEmitter accumulates the wiring of one adjacent level pair and seals
 // it into the immutable CSR base. Links may be emitted in any order (each
 // builder uses its natural generation order); Seal groups them per switch
@@ -160,17 +148,14 @@ func (e *LevelEmitter) Link(a, b int32) {
 }
 
 // Seal installs the level pair's CSR blocks (up-links of level, down-links
-// of level+1), releases the emission scratch and notifies the topology's
-// level sink, if any. The emitter must not be used afterwards.
+// of level+1) and releases the emission scratch. The emitter must not be
+// used afterwards.
 func (e *LevelEmitter) Seal() {
 	c := e.c
 	c.up[e.level-1] = buildCSR(e.ab, 0, e.aLo, c.levelSize[e.level-1])
 	c.down[e.level] = buildCSR(e.ab, 1, e.bLo, c.levelSize[e.level])
 	c.wires += len(e.ab) / 2
 	e.ab = nil
-	if c.sink != nil {
-		c.sink.LevelSealed(c, e.level)
-	}
 }
 
 // buildCSR groups an emission stream of (a, b) pairs into a CSR block keyed
@@ -195,11 +180,6 @@ func buildCSR(ab []int32, which int, lo int32, n int) csrLevel {
 	}
 	return csrLevel{offsets: offsets, neigh: neigh}
 }
-
-// SetLevelSink attaches a sink notified as construction seals level pairs.
-// Builders with streaming variants call this before wiring; it has no
-// effect on topologies built via AddLink.
-func (c *Clos) SetLevelSink(s LevelSink) { c.sink = s }
 
 // ensureOverlay returns the mutable overlay, creating it on first use. Any
 // overlay mutation invalidates builder-declared descendant intervals — this

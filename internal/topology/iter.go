@@ -33,31 +33,10 @@ func (c *Clos) LinkSeq(level int) iter.Seq[Link] {
 }
 
 // yieldLevel streams the up-links of one level in switch-id order,
-// overlay-aware. It reports whether iteration ran to completion.
-//
-// A churn-free topology (no overlay) streams straight off the sealed CSR
-// block — one pass over the offsets and flat neighbour arrays, no per-switch
-// row lookup — which is the common case for every export of an unfaulted
-// build. Any overlay falls back to the per-switch path, whose upAt calls
-// merge the materialised rows in. Both paths yield identical links in
-// identical order: CSR rows and overlay lists preserve wiring order.
+// overlay-aware: upAt returns a switch's overlay row when it has one and
+// its sealed CSR row otherwise. It reports whether iteration ran to
+// completion.
 func (c *Clos) yieldLevel(level int, yield func(Link) bool) bool {
-	if c.ovl == nil {
-		cl := c.up[level-1]
-		if cl.offsets == nil {
-			return true // level never sealed and never mutated: no links
-		}
-		lo := c.offset[level-1]
-		for i := 0; i < c.levelSize[level-1]; i++ {
-			s := lo + int32(i)
-			for _, b := range cl.neigh[cl.offsets[i]:cl.offsets[i+1]] {
-				if !yield(Link{s, b}) {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	lo := c.offset[level-1]
 	for i := 0; i < c.levelSize[level-1]; i++ {
 		s := lo + int32(i)

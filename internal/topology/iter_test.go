@@ -163,8 +163,8 @@ func equalInt32(a, b []int32) bool {
 	return true
 }
 
-// referenceEdges is the pre-fast-path export order: the per-switch upAt walk
-// over every level. The CSR-direct path in yieldLevel must match it link for
+// referenceEdges is the canonical export order written out longhand: the
+// per-switch upAt walk over every level. EdgeSeq must match it link for
 // link.
 func referenceEdges(c *Clos) []Link {
 	var out []Link
@@ -180,8 +180,9 @@ func referenceEdges(c *Clos) []Link {
 	return out
 }
 
-// TestEdgeSeqFastPathMatchesReference pins the CSR-direct export path (no
-// overlay) and the overlay fallback against the per-switch reference walk.
+// TestEdgeSeqFastPathMatchesReference pins EdgeSeq on a sealed build (no
+// overlay, rows straight from the CSR store) and after churn (overlay rows)
+// against the per-switch reference walk.
 func TestEdgeSeqFastPathMatchesReference(t *testing.T) {
 	c, err := NewCFT(8, 3)
 	if err != nil {
@@ -206,17 +207,17 @@ func TestEdgeSeqFastPathMatchesReference(t *testing.T) {
 	if c.ovl != nil {
 		t.Fatal("freshly built CFT should have no overlay")
 	}
-	check("sealed fast path")
+	check("sealed")
 
 	// Force the overlay while keeping the adjacency logically identical:
 	// append a duplicate link, then remove one copy (swap-remove keeps a
-	// same-valued entry in the slot). The fallback path must now run and
-	// still agree with the reference walk.
+	// same-valued entry in the slot). EdgeSeq must now read the overlay
+	// rows and still agree with the reference walk.
 	l := c.Links()[0]
 	c.AddLink(l.A, l.B)
 	c.RemoveLink(l.A, l.B)
 	if c.ovl == nil {
 		t.Fatal("mutation did not materialise the overlay")
 	}
-	check("overlay fallback")
+	check("overlay")
 }

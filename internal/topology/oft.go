@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"rfclos/internal/gf"
 )
@@ -27,13 +28,6 @@ import (
 // the paper. Minimal up/down routes between leaves whose point digits all
 // differ are unique, reproducing the low path diversity the paper discusses.
 func NewOFT(q, levels int) (*Clos, error) {
-	return NewOFTStream(q, levels, nil)
-}
-
-// NewOFTStream is NewOFT with a level sink: level pairs are sealed
-// bottom-up, each handed to sink before the next is wired (see
-// NewXGFTStream).
-func NewOFTStream(q, levels int, sink LevelSink) (*Clos, error) {
 	if levels < 2 {
 		return nil, fmt.Errorf("topology: OFT needs >= 2 levels, got %d", levels)
 	}
@@ -42,24 +36,14 @@ func NewOFTStream(q, levels int, sink LevelSink) (*Clos, error) {
 		return nil, fmt.Errorf("topology: OFT order %d: %w", q, err)
 	}
 	n := plane.N
-	// Level sizes: 2n^{l-1} for levels 1..l-1, n^{l-1} for the top.
-	nPow := 1
-	for i := 0; i < levels-1; i++ {
-		nPow *= n
-		if nPow > 64<<20 {
-			return nil, fmt.Errorf("topology: OFT(q=%d, l=%d) too large", q, levels)
-		}
+	sizes := OFTLevelSizes(q, levels)
+	if sizes[levels-1] > 64<<20 {
+		return nil, fmt.Errorf("topology: OFT(q=%d, l=%d) too large", q, levels)
 	}
-	sizes := make([]int, levels)
-	for i := 0; i < levels-1; i++ {
-		sizes[i] = 2 * nPow
-	}
-	sizes[levels-1] = nPow
 	c, err := NewEmpty(sizes, q+1, 2*(q+1))
 	if err != nil {
 		return nil, err
 	}
-	c.SetLevelSink(sink)
 
 	// Label encoding for levels 1..l-1: index = s + 2*mixed(d_1..d_{l-1})
 	// where d_j is x_j for j < i and p_j for j >= i, every digit radix n.
@@ -119,6 +103,26 @@ func encodeUniform(digits []int, n int) int {
 		v = v*n + digits[i]
 	}
 	return v
+}
+
+// OFTLevelSizes returns the level sizes NewOFT allocates for order q >= 0
+// and levels >= 2: 2n^{l-1} for levels 1..l-1 and n^{l-1} for the top,
+// n = q²+q+1. Products saturate at math.MaxInt instead of wrapping.
+func OFTLevelSizes(q, levels int) []int {
+	n := mulSat(q, q+1)
+	if n < math.MaxInt {
+		n++
+	}
+	nPow := 1
+	for i := 0; i < levels-1; i++ {
+		nPow = mulSat(nPow, n)
+	}
+	sizes := make([]int, levels)
+	for i := 0; i < levels-1; i++ {
+		sizes[i] = mulSat(2, nPow)
+	}
+	sizes[levels-1] = nPow
+	return sizes
 }
 
 // OFTTerminals returns T for an l-level OFT of order q without building it.

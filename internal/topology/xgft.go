@@ -14,14 +14,29 @@ import "fmt"
 // therefore form complete bipartite K(m_{i+1}, w_{i+1}) blocks, which yields
 // a fat-tree in the sense of Definition 3.2 with arities k_i = m[i-1].
 func NewXGFT(m, w []int, radix int) (*Clos, error) {
-	return NewXGFTStream(m, w, radix, nil)
+	sizes, err := XGFTLevelSizes(m, w)
+	if err != nil {
+		return nil, err
+	}
+	const maxSwitches = 64 << 20
+	if TotalSwitches(sizes) > maxSwitches {
+		return nil, fmt.Errorf("topology: XGFT too large (> %d switches)", maxSwitches)
+	}
+	c, err := NewEmpty(sizes, m[0], radix)
+	if err != nil {
+		return nil, err
+	}
+	declareXGFTLeafRanges(c, m, w, sizes)
+	wireXGFT(c, m, w, sizes)
+	return c, nil
 }
 
-// NewXGFTStream is NewXGFT with a level sink: each level pair is sealed —
-// and handed to sink — before the next one is wired, so a streaming
-// consumer (routing cover construction) runs concurrently with wiring and
-// construction scratch never exceeds one level pair.
-func NewXGFTStream(m, w []int, radix int, sink LevelSink) (*Clos, error) {
+// XGFTLevelSizes validates the XGFT(h; m; w) parameters and returns its
+// level sizes N_i = ∏_{j<=i} w_j · ∏_{j>i} m_j, the counts NewXGFT
+// allocates. Products saturate at math.MaxInt instead of wrapping, so a
+// size limit checked against TotalSwitches cannot be slipped past by
+// overflow.
+func XGFTLevelSizes(m, w []int) ([]int, error) {
 	h := len(m)
 	if h < 2 || len(w) != h {
 		return nil, fmt.Errorf("topology: XGFT needs len(m) == len(w) >= 2, got %d and %d", len(m), len(w))
@@ -34,36 +49,19 @@ func NewXGFTStream(m, w []int, radix int, sink LevelSink) (*Clos, error) {
 			return nil, fmt.Errorf("topology: XGFT parameters must be positive (m[%d]=%d, w[%d]=%d)", i, m[i], i, w[i])
 		}
 	}
-	// Level sizes N_i = prod_{j<=i} w_j * prod_{j>i} m_j.
+	// sizes[i-1] first holds the suffix product ∏_{j>i} m_j, then takes the
+	// prefix product of w on the way up.
 	sizes := make([]int, h)
-	const maxSwitches = 64 << 20
-	total := 0
-	for i := 1; i <= h; i++ {
-		n := 1
-		for j := 1; j <= i; j++ {
-			n *= w[j-1]
-		}
-		for j := i + 1; j <= h; j++ {
-			n *= m[j-1]
-		}
-		sizes[i-1] = n
-		total += n
-		if total > maxSwitches {
-			return nil, fmt.Errorf("topology: XGFT too large (> %d switches)", maxSwitches)
-		}
+	sizes[h-1] = 1
+	for i := h - 1; i >= 1; i-- {
+		sizes[i-1] = mulSat(sizes[i], m[i])
 	}
-	c, err := NewEmpty(sizes, m[0], radix)
-	if err != nil {
-		return nil, err
+	prefix := 1
+	for i := 0; i < h; i++ {
+		prefix = mulSat(prefix, w[i])
+		sizes[i] = mulSat(sizes[i], prefix)
 	}
-	// Descendant leaf intervals are label-derived, not wiring-derived, so
-	// they can be declared before any link exists — a level sink observing
-	// sealed levels mid-build already sees them (routing's streamed cover
-	// construction takes the interval fast path this way).
-	declareXGFTLeafRanges(c, m, w, sizes)
-	c.SetLevelSink(sink)
-	wireXGFT(c, m, w, sizes)
-	return c, nil
+	return sizes, nil
 }
 
 // wireXGFT emits the complete-bipartite block links of the XGFT label
@@ -98,10 +96,11 @@ func wireXGFT(c *Clos, m, w, sizes []int) {
 // digits with exactly the leaves below it while positions 1..i-1 range
 // freely, and those free positions are the least-significant leaf-index
 // digits — so the descendants are the interval [base, base+blk) where blk =
-// ∏ m[1..i-1] and base weighs the shared digits. Routing uses the declared
-// intervals to build descendant sets as single runs; the hybrid-vs-bitset
-// equivalence property tests in internal/routing pin that the declared
-// ranges match the wired graph.
+// ∏ m[1..i-1] and base weighs the shared digits. The intervals follow
+// from the labels alone, so NewXGFT declares them before wiring. Routing
+// uses the declared intervals to build descendant sets as single runs;
+// the hybrid-vs-bitset equivalence property tests in internal/routing pin
+// that the declared ranges match the wired graph.
 func declareXGFTLeafRanges(c *Clos, m, w, sizes []int) {
 	h := len(m)
 	lr := make([]int32, 2*c.NumSwitches())
@@ -166,27 +165,7 @@ func encodeMixed(digits, radices []int) int {
 // fat-tree with arities k_1 = ... = k_{l-1} = R/2 and k_l = R. It connects
 // T = 2(R/2)^l terminals (§3).
 func NewCFT(radix, levels int) (*Clos, error) {
-	return NewCFTStream(radix, levels, nil)
-}
-
-// NewCFTStream is NewCFT with a level sink (see NewXGFTStream).
-func NewCFTStream(radix, levels int, sink LevelSink) (*Clos, error) {
-	if radix < 2 || radix%2 != 0 {
-		return nil, fmt.Errorf("topology: CFT radix must be even and >= 2, got %d", radix)
-	}
-	if levels < 2 {
-		return nil, fmt.Errorf("topology: CFT needs >= 2 levels, got %d", levels)
-	}
-	half := radix / 2
-	m := make([]int, levels)
-	w := make([]int, levels)
-	for i := range m {
-		m[i] = half
-		w[i] = half
-	}
-	m[levels-1] = radix
-	w[0] = 1
-	return NewXGFTStream(m, w, radix, sink)
+	return NewCFTWithTerminals(radix, levels, radix/2)
 }
 
 // NewCFTWithTerminals builds the R-commodity fat-tree wiring but attaches
@@ -194,18 +173,28 @@ func NewCFTStream(radix, levels int, sink LevelSink) (*Clos, error) {
 // intermediate scenario uses exactly this: a 4-level CFT "with free ports
 // for future expansion" serving fewer terminals than its capacity.
 func NewCFTWithTerminals(radix, levels, termsPerLeaf int) (*Clos, error) {
+	m, w, err := CFTShape(radix, levels, termsPerLeaf)
+	if err != nil {
+		return nil, err
+	}
+	return NewXGFT(m, w, radix)
+}
+
+// CFTShape returns the XGFT parameters (m, w) that NewCFTWithTerminals
+// wires: m = (termsPerLeaf, R/2, ..., R/2, R), w = (1, R/2, ..., R/2).
+func CFTShape(radix, levels, termsPerLeaf int) (m, w []int, err error) {
 	if radix < 2 || radix%2 != 0 {
-		return nil, fmt.Errorf("topology: CFT radix must be even and >= 2, got %d", radix)
+		return nil, nil, fmt.Errorf("topology: CFT radix must be even and >= 2, got %d", radix)
 	}
 	if levels < 2 {
-		return nil, fmt.Errorf("topology: CFT needs >= 2 levels, got %d", levels)
+		return nil, nil, fmt.Errorf("topology: CFT needs >= 2 levels, got %d", levels)
 	}
 	half := radix / 2
 	if termsPerLeaf < 1 || termsPerLeaf > half {
-		return nil, fmt.Errorf("topology: terminals per leaf %d out of [1, R/2=%d]", termsPerLeaf, half)
+		return nil, nil, fmt.Errorf("topology: terminals per leaf %d out of [1, R/2=%d]", termsPerLeaf, half)
 	}
-	m := make([]int, levels)
-	w := make([]int, levels)
+	m = make([]int, levels)
+	w = make([]int, levels)
 	for i := range m {
 		m[i] = half
 		w[i] = half
@@ -213,30 +202,35 @@ func NewCFTWithTerminals(radix, levels, termsPerLeaf int) (*Clos, error) {
 	m[0] = termsPerLeaf
 	m[levels-1] = radix
 	w[0] = 1
-	return NewXGFT(m, w, radix)
+	return m, w, nil
 }
 
 // NewKaryTree builds the k-ary l-tree of Petrini and Vanneschi: l levels of
 // k^{l-1} switches, k terminals per leaf, T = k^l terminals. Its switches
 // have radix 2k.
 func NewKaryTree(k, levels int) (*Clos, error) {
-	return NewKaryTreeStream(k, levels, nil)
+	m, w, err := KaryTreeShape(k, levels)
+	if err != nil {
+		return nil, err
+	}
+	return NewXGFT(m, w, 2*k)
 }
 
-// NewKaryTreeStream is NewKaryTree with a level sink (see NewXGFTStream).
-func NewKaryTreeStream(k, levels int, sink LevelSink) (*Clos, error) {
+// KaryTreeShape returns the XGFT parameters (m, w) that NewKaryTree wires:
+// m = (k, ..., k), w = (1, k, ..., k).
+func KaryTreeShape(k, levels int) (m, w []int, err error) {
 	if k < 1 {
-		return nil, fmt.Errorf("topology: k-ary tree needs k >= 1, got %d", k)
+		return nil, nil, fmt.Errorf("topology: k-ary tree needs k >= 1, got %d", k)
 	}
 	if levels < 2 {
-		return nil, fmt.Errorf("topology: k-ary tree needs >= 2 levels, got %d", levels)
+		return nil, nil, fmt.Errorf("topology: k-ary tree needs >= 2 levels, got %d", levels)
 	}
-	m := make([]int, levels)
-	w := make([]int, levels)
+	m = make([]int, levels)
+	w = make([]int, levels)
 	for i := range m {
 		m[i] = k
 		w[i] = k
 	}
 	w[0] = 1
-	return NewXGFTStream(m, w, 2*k, sink)
+	return m, w, nil
 }
